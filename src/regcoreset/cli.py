@@ -412,7 +412,7 @@ def build_parser() -> _Parser:
     )
     s.add_argument("--lambda", dest="lam", type=float, default=0.0)
     s.add_argument("--p", type=float, default=2.0)
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--tol", type=float, default=1e-7)
     s.add_argument("--max-iter", type=int, default=20000)
     s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_solve)

@@ -179,11 +179,26 @@ class CoresetVerificationReport:
     passed: bool
 
 
+def _checked_queries(
+    instance: RegressionInstance, coreset: Coreset, queries, epsilon: float
+) -> list:
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    queries = list(queries)
+    if not queries:
+        raise ValueError("need at least one query")
+    if coreset.d != instance.d:
+        raise ShapeError(
+            f"coreset is {coreset.d}-dimensional but instance has d={instance.d}"
+        )
+    return queries
+
+
 def _deviations(
     instance: RegressionInstance,
     coreset: Coreset,
     spec: ObjectiveSpec,
-    queries,
+    queries: list,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Relative deviation per query, with a mask of degenerate (F = 0) ones."""
     surrogate = coreset.as_instance()
@@ -199,28 +214,9 @@ def _deviations(
     return devs, degenerate
 
 
-def verify_coreset(
-    instance: RegressionInstance,
-    coreset: Coreset,
-    spec: ObjectiveSpec,
-    queries,
-    epsilon: float,
+def _report(
+    devs: np.ndarray, degenerate: np.ndarray, epsilon: float
 ) -> CoresetVerificationReport:
-    """Compare full and coreset objectives on explicit queries.
-
-    Queries where the full objective is exactly zero admit no relative
-    comparison; they are skipped and counted separately.
-    """
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    queries = list(queries)
-    if not queries:
-        raise ValueError("need at least one query")
-    if coreset.d != instance.d:
-        raise ShapeError(
-            f"coreset is {coreset.d}-dimensional but instance has d={instance.d}"
-        )
-    devs, degenerate = _deviations(instance, coreset, spec, queries)
     live = ~degenerate
     checked = int(live.sum())
     if checked == 0:
@@ -235,6 +231,22 @@ def verify_coreset(
         epsilon=epsilon,
         passed=bool(live_devs[worst] <= epsilon),
     )
+
+
+def verify_coreset(
+    instance: RegressionInstance,
+    coreset: Coreset,
+    spec: ObjectiveSpec,
+    queries,
+    epsilon: float,
+) -> CoresetVerificationReport:
+    """Compare full and coreset objectives on explicit queries.
+
+    Queries where the full objective is exactly zero admit no relative
+    comparison; they are skipped and counted separately.
+    """
+    queries = _checked_queries(instance, coreset, queries, epsilon)
+    return _report(*_deviations(instance, coreset, spec, queries), epsilon)
 
 
 def transfer_check(
@@ -258,9 +270,7 @@ def transfer_check(
         raise ValueError(f"q must be >= 1, got {q}")
     spec_p = ObjectiveSpec(p=p, q=p, r=p, s=p, lam=lam, family="custom")
     spec_q = ObjectiveSpec(p=p, q=q, r=p, s=p, lam=lam, family="custom")
-    queries = list(queries)
-    report_p = verify_coreset(instance, coreset, spec_p, queries, epsilon)
-    report_q = verify_coreset(instance, coreset, spec_q, queries, epsilon)
+    queries = _checked_queries(instance, coreset, queries, epsilon)
     devs_p, degen_p = _deviations(instance, coreset, spec_p, queries)
     devs_q, degen_q = _deviations(instance, coreset, spec_q, queries)
     live = ~(degen_p | degen_q)
@@ -270,4 +280,4 @@ def transfer_check(
             f"{int(bad.sum())} of {len(queries)} queries passed the p-penalty "
             f"check at eps={epsilon} but failed the q-penalty check"
         )
-    return report_p, report_q
+    return _report(devs_p, degen_p, epsilon), _report(devs_q, degen_q, epsilon)

@@ -49,8 +49,6 @@ _TAG_CELL = 0x05
 EXPERIMENT_SCHEMES = ("uniform", "ridge_leverage", "rlad_sensitivity", "identity")
 _FAMILIES = ("modified_lasso", "rlad", "ridge", "lasso")
 
-_LOSS_P = {"modified_lasso": 2.0, "lasso": 2.0, "ridge": 2.0, "rlad": 1.0}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -289,7 +287,6 @@ def run_relative_error_experiment(
     instance, _ = build_experiment_instance(config)
     aprime = augment(instance)
     family = config.objective_family
-    loss_p = _LOSS_P[family]
     spec_for = {
         lam: ObjectiveSpec.for_family(family, lam) for lam in config.lambda_grid
     }
@@ -327,7 +324,9 @@ def run_relative_error_experiment(
         if scheme == "identity":
             core = identity_coreset(instance)
         else:
-            core = build_coreset(instance, scores[(si, li)], size, loss_p, seed)
+            core = build_coreset(
+                instance, scores[(si, li)], size, spec_for[lam].p, seed
+            )
         sub = _solve(family, core.as_instance(), lam, coreset=True)
         v1 = full_values[lam]
         v2 = evaluate_objective(instance, sub.solution, spec_for[lam])

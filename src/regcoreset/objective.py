@@ -56,41 +56,33 @@ class ObjectiveSpec:
                 )
 
     @classmethod
+    def for_family(cls, family: str, lam: float, p: float = 2.0) -> "ObjectiveSpec":
+        """Build the spec for a named family; p is only used by lp_lp."""
+        exponents = _FAMILIES.get(family)
+        if exponents is None:
+            raise ValueError(f"unknown family {family!r}")
+        return cls(*(p if e is None else e for e in exponents), lam=lam, family=family)
+
+    @classmethod
     def lp_lp(cls, p: float, lam: float) -> "ObjectiveSpec":
-        return cls(p=p, q=p, r=p, s=p, lam=lam, family="lp_lp")
+        return cls.for_family("lp_lp", lam, p=p)
 
     @classmethod
     def ridge(cls, lam: float) -> "ObjectiveSpec":
-        return cls(p=2, q=2, r=2, s=2, lam=lam, family="ridge")
+        return cls.for_family("ridge", lam)
 
     @classmethod
     def lasso(cls, lam: float) -> "ObjectiveSpec":
-        return cls(p=2, q=1, r=2, s=1, lam=lam, family="lasso")
+        return cls.for_family("lasso", lam)
 
     @classmethod
     def modified_lasso(cls, lam: float) -> "ObjectiveSpec":
-        return cls(p=2, q=1, r=2, s=2, lam=lam, family="modified_lasso")
+        return cls.for_family("modified_lasso", lam)
 
     @classmethod
     def rlad(cls, lam: float) -> "ObjectiveSpec":
-        return cls(p=1, q=1, r=1, s=1, lam=lam, family="rlad")
+        return cls.for_family("rlad", lam)
 
     @classmethod
     def multiresponse_rlad(cls, lam: float) -> "ObjectiveSpec":
-        return cls(p=1, q=1, r=1, s=1, lam=lam, family="multiresponse_rlad")
-
-    @classmethod
-    def for_family(cls, family: str, lam: float, p: float = 2.0) -> "ObjectiveSpec":
-        """Build the spec for a named family; p is only used by lp_lp."""
-        if family == "lp_lp":
-            return cls.lp_lp(p, lam)
-        maker = {
-            "ridge": cls.ridge,
-            "lasso": cls.lasso,
-            "modified_lasso": cls.modified_lasso,
-            "rlad": cls.rlad,
-            "multiresponse_rlad": cls.multiresponse_rlad,
-        }.get(family)
-        if maker is None:
-            raise ValueError(f"unknown family {family!r}")
-        return maker(lam)
+        return cls.for_family("multiresponse_rlad", lam)

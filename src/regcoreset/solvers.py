@@ -1,8 +1,9 @@
 """Solvers for ||Ax - b||_p^r + lam * ||x||_q^s and friends.
 
 Closed form for ridge, FISTA (monotone restart variant) for the lasso and the
-squared-l1 "modified lasso", two-block ADMM for least absolute deviations
-with an l1 penalty, and damped IRLS for general l_p losses.
+squared-l1 "modified lasso", and damped IRLS for l_p losses with an l_p^p
+penalty, which at p = 1 also serves least absolute deviations with an l1
+penalty (RLAD).
 """
 
 from __future__ import annotations
@@ -229,73 +230,8 @@ def solve_rlad(
     tol: float = 1e-6,
     max_iter: int = 20000,
 ) -> SolverResult:
-    """Two-block ADMM for ||Ax - b||_1 + lam*||x||_1.
-
-    Splits z = [Ax - b, x]; both blocks are soft-thresholded (at 1/rho and
-    lam/rho) and the x-update is a least-squares solve against [A; I], whose
-    normal matrix A^T A + I is formed and inverted once.  rho starts at 1 and
-    is rebalanced when the primal and dual residuals drift apart.
-    """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    A, b = instance.design, instance.response
-    n, d = A.shape
-    spec = ObjectiveSpec.rlad(lam)
-    gram_inv = np.linalg.inv(A.T @ A + np.eye(d))
-    c = np.concatenate([b, np.zeros(d)])
-    z = np.zeros(n + d)
-    u = np.zeros(n + d)
-    rho = 1.0
-    x = np.zeros(d)
-    converged = False
-    res = np.inf
-    iterations = 0
-    tiny = 1e-300
-    for iterations in range(1, max_iter + 1):
-        v = c + z - u
-        x = gram_inv @ (A.T @ v[:n] + v[n:])
-        mx = np.concatenate([A @ x, x])
-        z_old = z
-        w = mx - c + u
-        z = np.concatenate(
-            [soft_threshold(w[:n], 1.0 / rho), soft_threshold(w[n:], lam / rho)]
-        )
-        r = mx - c - z
-        u = u + r
-        delta = z - z_old
-        dual = rho * (A.T @ delta[:n] + delta[n:])
-        pri_norm = np.linalg.norm(r)
-        dual_norm = np.linalg.norm(dual)
-        eps_pri = tol * max(
-            np.linalg.norm(mx), np.linalg.norm(z), np.linalg.norm(c)
-        )
-        # The dual stationarity gap ||A^T y_1 + y_2|| itself tends to zero at
-        # the optimum, so it cannot serve as the whole tolerance scale; the
-        # added unit keeps eps_dual bounded away from zero.
-        eps_dual = tol * rho * (1.0 + np.linalg.norm(A.T @ u[:n] + u[n:]))
-        rel_pri = pri_norm / max(eps_pri, tiny)
-        rel_dual = dual_norm / max(eps_dual, tiny)
-        res = max(rel_pri, rel_dual) * tol
-        if pri_norm <= eps_pri and dual_norm <= eps_dual:
-            converged = True
-            break
-        # Rebalance on residuals relative to their own tolerances; comparing
-        # raw norms misjudges tall problems where the two live on different
-        # scales, and chasing them every iteration makes rho oscillate.
-        if iterations % 100 == 0:
-            if rel_pri > 10.0 * rel_dual and rho < 1e6:
-                rho *= 2.0
-                u /= 2.0
-            elif rel_dual > 10.0 * rel_pri and rho > 1e-6:
-                rho /= 2.0
-                u *= 2.0
-    return SolverResult(
-        solution=x,
-        objective_value=evaluate_objective(instance, x, spec),
-        iterations=iterations,
-        converged=converged,
-        optimality_residual=float(res),
-    )
+    """||Ax - b||_1 + lam*||x||_1, which is the p = 1 case of solve_lp_lp."""
+    return solve_lp_lp(instance, 1.0, lam, tol=tol, max_iter=max_iter)
 
 
 def solve_lp_lp(

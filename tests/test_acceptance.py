@@ -297,7 +297,7 @@ def test_08_single_row_coreset_counterexample():
     )
 
 
-def test_09_solver_oracle_equivalences():
+def test_09_solver_oracle_equivalences(l1_vertex_minimum):
     checks = []
     ridge = solve_ridge(RegressionInstance(np.array([[1.0]]), np.array([2.0])), 1.0)
     checks.append(abs(ridge.solution[0] - 1.0) < 1e-12)
@@ -323,9 +323,9 @@ def test_09_solver_oracle_equivalences():
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
         inst = RegressionInstance(rng.standard_normal((30, 3)), rng.standard_normal(30))
-        p1 = solve_lp_lp(inst, 1.0, 0.3, tol=1e-10, max_iter=2000)
         rlad = solve_rlad(inst, 0.3, tol=1e-9, max_iter=100_000)
-        agree &= abs(p1.objective_value - rlad.objective_value) / rlad.objective_value < 1e-3
+        exact = l1_vertex_minimum(inst, 0.3)
+        agree &= abs(rlad.objective_value - exact) / exact < 1e-6
         p2 = solve_lp_lp(inst, 2.0, 0.3)
         ridge2 = solve_ridge(inst, 0.3)
         agree &= (
@@ -335,9 +335,9 @@ def test_09_solver_oracle_equivalences():
     checks.append(agree)
     ok = all(checks)
     _verdict(
-        "closed-form solver examples and cross-solver agreement",
+        "closed-form solver examples and exact-oracle agreement",
         ok,
-        f"hand examples {checks[:5]}, 10-seed cross agreement {checks[5]}",
+        f"hand examples {checks[:5]}, 10-seed oracle agreement {checks[5]}",
     )
 
 

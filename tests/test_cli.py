@@ -1,10 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import regcoreset
 from regcoreset.cli import dispatch
 from regcoreset.coreset import identity_coreset
 from regcoreset.linalg import RegressionInstance
@@ -67,6 +71,45 @@ def test_coreset_and_solve_chain(tmp_path, capsys):
     assert code == 0
     solved = json.loads(capsys.readouterr().out)
     assert len(solved["solution"]) == 4
+
+
+# The README chain at seed 6: gen-ng, a ridge-leverage coreset, then a
+# modified-lasso solve of that coreset at the default --tol.
+_SEED6_CHAIN = """
+import sys
+from regcoreset.cli import dispatch
+inst, core, out = sys.argv[1:]
+steps = [
+    ["gen-ng", "--n", "20000", "--d", "30", "--seed", "6", "--out", inst],
+    ["coreset", "--instance", inst, "--scheme", "ridge-leverage",
+     "--lambda", "0.5", "--size", "200", "--seed", "6", "--out", core],
+    ["solve", "--coreset", core, "--family", "modified_lasso",
+     "--lambda", "0.5", "--out", out],
+]
+for argv in steps:
+    if dispatch(argv):
+        sys.exit(1)
+"""
+
+
+def test_default_tol_converges_on_readme_chain(tmp_path):
+    # With BLAS on one thread this coreset floors FISTA's subgradient residual
+    # just above 1e-8, so a 1e-8 default ran all 20000 iterations and printed
+    # converged: false although the objective had settled within 20.
+    paths = [str(tmp_path / name) for name in ("inst.json", "core.json", "out.json")]
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+        PYTHONPATH=os.path.dirname(os.path.dirname(regcoreset.__file__)),
+    )
+    subprocess.run(
+        [sys.executable, "-c", _SEED6_CHAIN, *paths], env=env, check=True, timeout=300
+    )
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert doc["converged"] is True
+    assert doc["iterations"] < 100
 
 
 def test_coreset_epsilon_sizing(tmp_path):

@@ -233,13 +233,12 @@ def test_lp_lp_validation():
         solve_lp_lp(inst, 2.0, -1.0)
 
 
-def test_cross_solver_agreement():
+def test_cross_solver_agreement(l1_vertex_minimum):
     for seed in range(10):
         inst = _instance(100 + seed, 30, 3)
-        p1 = solve_lp_lp(inst, 1.0, 0.3, tol=1e-10, max_iter=2000)
         rlad = solve_rlad(inst, 0.3, tol=1e-9, max_iter=100_000)
-        rel = abs(p1.objective_value - rlad.objective_value) / rlad.objective_value
-        assert rel < 1e-3
+        exact = l1_vertex_minimum(inst, 0.3)
+        assert abs(rlad.objective_value - exact) / exact < 1e-6
         p2 = solve_lp_lp(inst, 2.0, 0.3)
         ridge = solve_ridge(inst, 0.3)
         rel2 = abs(p2.objective_value - ridge.objective_value) / max(
