@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -72,13 +71,14 @@ def _check_lambda(value: float) -> float:
 def _write(doc: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+            fh.write(doc)
+            fh.write("\n")
     else:
         print(doc)
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _load_instance(path: str) -> RegressionInstance:
@@ -448,7 +448,7 @@ def build_parser() -> _Parser:
         e.add_argument("--schemes", default=None)
         e.add_argument("--csv-path", default=None)
         e.add_argument("--target-column", default=None)
-        e.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        e.add_argument("--threads", type=int, default=1)
         e.add_argument("--format", choices=["json", "csv"], default="json")
         e.add_argument("--out", default=None)
         e.set_defaults(func=handler)

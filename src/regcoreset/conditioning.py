@@ -72,7 +72,15 @@ def _conditioning_ratios(U: np.ndarray, p: float, Z: np.ndarray) -> np.ndarray:
     """||z||_q / ||Uz||_p per column of Z (scale invariant in z)."""
     q = dual_exponent(p)
     num = _dual_norms(Z, q)
-    den = np.sum(np.abs(U @ Z) ** p, axis=0) ** (1.0 / p)
+    # One n x N buffer: |UZ|^p is formed in place, and at p = 1 the power and
+    # the root are skipped, which is exact since x ** 1.0 == x.
+    UZ = U @ Z
+    np.abs(UZ, out=UZ)
+    if p != 1:
+        np.power(UZ, p, out=UZ)
+    den = np.sum(UZ, axis=0)
+    if p != 1:
+        den **= 1.0 / p
     mask = den > 0
     out = np.zeros(Z.shape[1])
     out[mask] = num[mask] / den[mask]
@@ -142,9 +150,10 @@ def _stable_draws(rng: np.random.Generator, p: float, shape) -> np.ndarray:
 def p_conditioned_basis(Aprime, p: float, seed: int) -> WellConditionedBasis:
     """Basis from a p-stable sketch: U = A' R^-1 with R from QR(S A').
 
-    alpha is the measured entrywise norm of U times a 1% slack; beta is
-    certified empirically over many sampled directions with a 25% safety
-    factor.  A singular sketch triggers up to two reseeds before giving up.
+    alpha is the measured entrywise norm of U times a 1% slack.  beta is an
+    estimate, not a certificate: the largest ratio over sampled directions,
+    which is only a lower bound on the true beta, times a 25% safety factor.
+    A singular sketch triggers up to two reseeds before giving up.
     """
     Aprime = as_matrix(Aprime, "Aprime")
     n, m = Aprime.shape
@@ -185,11 +194,11 @@ def p_conditioned_basis(Aprime, p: float, seed: int) -> WellConditionedBasis:
 def verify_conditioning(
     basis: WellConditionedBasis, trials: int, seed: int
 ) -> ConditioningReport:
-    """Replay the certificate: measure ||U||_p and the worst dual-norm ratio.
+    """Replay the recorded pair: measure ||U||_p and the worst dual-norm ratio.
 
     The beta estimate here uses random unit directions only, so it can only
-    under-shoot the construction-time certificate; a violation flag means the
-    recorded pair is genuinely broken.
+    under-shoot the true beta; a violation flag means the recorded pair is
+    genuinely broken.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -145,7 +145,8 @@ def build_coreset(
     rng = np.random.default_rng(seed)
     idx = rng.choice(instance.n, size=r, replace=True, p=probs)
     weights = scores.total / (r * scores.values[idx])
-    rows = augment(instance)[idx] * weights[:, None] ** (1.0 / p)
+    kept = RegressionInstance(instance.design[idx], instance.response[idx])
+    rows = augment(kept) * weights[:, None] ** (1.0 / p)
     return Coreset(
         rows=rows,
         weights=weights,

@@ -265,33 +265,42 @@ def solve_lp_lp(
         )
     A, b = instance.design, instance.response
     smooth = 1e-8
+    diag = np.diag_indices(instance.d)
+
+    def objective(x, r):
+        # evaluate_objective's lp + lp arithmetic on a known residual r = Ax - b.
+        loss = float(np.linalg.norm(r, ord=spec.p) ** spec.r)
+        return loss + float(spec.lam * np.linalg.norm(x, ord=spec.q) ** spec.s)
+
     try:
         x = solve_ridge(instance, lam).solution
     except RankDeficiencyError:
         x = np.zeros(instance.d)
-    obj = evaluate_objective(instance, x, spec)
+    r = A @ x - b
+    obj = objective(x, r)
     converged = False
     res = np.inf
     flat_sweeps = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        r = A @ x - b
         w = np.maximum(np.abs(r), smooth) ** (p - 2.0)
         v = np.maximum(np.abs(x), smooth) ** (p - 2.0)
-        H = A.T @ (w[:, None] * A) + lam * np.diag(v)
+        H = A.T @ (w[:, None] * A)
+        H[diag] += lam * v
         target = np.linalg.solve(H, A.T @ (w * b))
         step = 1.0
-        x_new, obj_new = x, obj
+        x_new, obj_new, r_new = x, obj, r
         while step > 1e-8:
             cand = x + step * (target - x)
-            cand_obj = evaluate_objective(instance, cand, spec)
+            cand_r = A @ cand - b
+            cand_obj = objective(cand, cand_r)
             if cand_obj <= obj:
-                x_new, obj_new = cand, cand_obj
+                x_new, obj_new, r_new = cand, cand_obj, cand_r
                 break
             step /= 2.0
         rel_drop = (obj - obj_new) / max(abs(obj), _OBJ_FLOOR)
         rel_step = np.linalg.norm(x_new - x) / (1.0 + np.linalg.norm(x_new))
-        x, obj = x_new, obj_new
+        x, obj, r = x_new, obj_new, r_new
         res = max(rel_drop, rel_step)
         flat_sweeps = flat_sweeps + 1 if res < tol else 0
         if flat_sweeps >= 2:

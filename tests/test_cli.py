@@ -73,6 +73,27 @@ def test_coreset_and_solve_chain(tmp_path, capsys):
     assert len(solved["solution"]) == 4
 
 
+def test_documents_are_compact_canonical_json(tmp_path):
+    inst, core = str(tmp_path / "inst.json"), str(tmp_path / "core.json")
+    solved, verified = str(tmp_path / "solve.json"), str(tmp_path / "verify.json")
+    family = ["--family", "rlad", "--lambda", "0.5"]
+    steps = [
+        ["gen-ng", "--n", "60", "--d", "4", "--seed", "3", "--out", inst],
+        ["coreset", "--instance", inst, "--scheme", "rlad", "--lambda", "0.5",
+         "--size", "20", "--seed", "3", "--out", core],
+        ["solve", "--coreset", core, *family, "--out", solved],
+        ["verify", "--instance", inst, "--coreset", core, *family,
+         "--epsilon", "0.5", "--queries", "20", "--out", verified],
+    ]
+    for argv in steps:
+        assert dispatch(argv) == 0
+    for path in (inst, core, solved, verified):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert text == canonical + "\n"
+
+
 # The README chain at seed 6: gen-ng, a ridge-leverage coreset, then a
 # modified-lasso solve of that coreset at the default --tol.
 _SEED6_CHAIN = """

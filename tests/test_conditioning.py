@@ -1,5 +1,7 @@
 """Tests for well-conditioned basis construction and certification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from regcoreset.conditioning import (
     ORTHONORMAL,
     P_STABLE_SKETCH,
     WellConditionedBasis,
+    _conditioning_ratios,
     dual_exponent,
     empirical_beta,
     orthonormal_basis,
@@ -154,3 +157,47 @@ def test_verify_rejects_zero_trials():
 def test_empirical_beta_deterministic():
     U = np.random.default_rng(9).standard_normal((30, 3))
     assert empirical_beta(U, 1.0, 200, seed=7) == empirical_beta(U, 1.0, 200, seed=7)
+
+
+def _ratios_out_of_place(U, p, Z):
+    """The ratio formula with a fresh array per step, as a reference."""
+    q = dual_exponent(p)
+    if q == np.inf:
+        num = np.max(np.abs(Z), axis=0)
+    else:
+        num = np.sum(np.abs(Z) ** q, axis=0) ** (1.0 / q)
+    den = np.sum(np.abs(U @ Z) ** p, axis=0) ** (1.0 / p)
+    out = np.zeros(Z.shape[1])
+    mask = den > 0
+    out[mask] = num[mask] / den[mask]
+    return out
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_conditioning_ratios_match_out_of_place_formula(p):
+    rng = np.random.default_rng(21)
+    U = rng.standard_normal((200, 6))
+    Z = rng.standard_normal((6, 300))
+    Z[:, 0] = 0.0  # a zero direction keeps ratio 0
+    got = _conditioning_ratios(U, p, Z)
+    want = _ratios_out_of_place(U, p, Z)
+    if p == 1:
+        assert np.array_equal(got, want)
+    else:
+        # In-place and out-of-place power may take different SIMD loops.
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert got[0] == 0.0
+
+
+def test_empirical_beta_holds_one_probe_buffer():
+    # 4000 x (2000 + 31 + 31) probes of 8 bytes are 63 MiB; a second buffer
+    # of the same size would push the peak past 96 MiB.
+    U, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4000, 31)))
+    tracemalloc.start()
+    try:
+        beta = empirical_beta(U, 1.0, 2_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(beta) and beta > 0
+    assert peak < 96 * 2**20
