@@ -19,6 +19,9 @@ from .conditioning import p_conditioned_basis
 from .coreset import Coreset, build_coreset, sample_size, verify_coreset
 from .errors import TheoremInapplicableError
 from .experiments import (
+    _TAG_DATA,
+    _TAG_NOISE,
+    _TAG_XTRUE,
     ExperimentConfig,
     build_experiment_instance,
     emit_report,
@@ -45,6 +48,8 @@ from .solvers import (
     solve_ridge,
 )
 from .linalg import induced_norm_upper
+
+_FAMILIES = ["ridge", "lasso", "modified_lasso", "rlad", "lp_lp"]
 
 
 class _UsageError(Exception):
@@ -103,9 +108,10 @@ def _load_coreset(path: str) -> Coreset:
 
 
 def _cmd_gen_ng(args) -> int:
-    A = generate_ng_matrix(args.n, args.d, args.alpha, mix_seed(args.seed, 0x01))
-    x_true = np.random.default_rng(mix_seed(args.seed, 0x02)).standard_normal(args.d)
-    b = generate_response(A, x_true, args.noise_scale, mix_seed(args.seed, 0x03))
+    A = generate_ng_matrix(args.n, args.d, args.alpha, mix_seed(args.seed, _TAG_DATA))
+    rng = np.random.default_rng(mix_seed(args.seed, _TAG_XTRUE))
+    x_true = rng.standard_normal(args.d)
+    b = generate_response(A, x_true, args.noise_scale, mix_seed(args.seed, _TAG_NOISE))
     payload = {
         "config": {
             "subcommand": "gen-ng",
@@ -287,24 +293,9 @@ def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_table(args) -> int:
     config = _experiment_config(args)
-    table = run_relative_error_experiment(config, threads=args.threads)
-    if args.format == "csv":
-        _write(emit_report(table, "csv"), args.out)
-    else:
-        payload = {
-            "config": config.to_dict(),
-            "threads": args.threads,
-            "table": json.loads(emit_report(table, "json")),
-        }
-        _write(_dump(payload), args.out)
-    return 0
-
-
-def _cmd_sparsity(args) -> int:
-    config = _experiment_config(args)
-    table = run_sparsity_experiment(config)
+    table = args.runner(config)
     if args.format == "csv":
         _write(emit_report(table, "csv"), args.out)
     else:
@@ -348,22 +339,22 @@ def _cmd_lowerbound(args) -> int:
             scheme="identity",
             n_source=2,
         )
+    config = {"subcommand": "lowerbound", **exponents, "lambda": lam,
+              "epsilon": epsilon, "seed": seed, "probes": probes}
     try:
         witness = demonstrate_violation(
             aprime, core, spec, epsilon, seed=seed, probes=probes
         )
     except TheoremInapplicableError as exc:
         payload = {
-            "config": {"subcommand": "lowerbound", **exponents, "lambda": lam,
-                       "epsilon": epsilon, "seed": seed, "probes": probes},
+            "config": config,
             "status": "theorem-inapplicable",
             "detail": str(exc),
         }
         _write(_dump(payload), args.out)
         return 0
     payload = {
-        "config": {"subcommand": "lowerbound", **exponents, "lambda": lam,
-                   "epsilon": epsilon, "seed": seed, "probes": probes},
+        "config": config,
         "status": "violation" if witness is not None else "no-violation",
         "witness": json.loads(witness.to_json()) if witness is not None else None,
     }
@@ -405,11 +396,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("solve", help="solve an objective on an instance or coreset")
     s.add_argument("--instance", default=None)
     s.add_argument("--coreset", default=None)
-    s.add_argument(
-        "--family",
-        required=True,
-        choices=["ridge", "lasso", "modified_lasso", "rlad", "lp_lp"],
-    )
+    s.add_argument("--family", required=True, choices=_FAMILIES)
     s.add_argument("--lambda", dest="lam", type=float, default=0.0)
     s.add_argument("--p", type=float, default=2.0)
     s.add_argument("--tol", type=float, default=1e-7)
@@ -420,11 +407,7 @@ def build_parser() -> _Parser:
     v = sub.add_parser("verify", help="check a coreset against its instance")
     v.add_argument("--instance", required=True)
     v.add_argument("--coreset", required=True)
-    v.add_argument(
-        "--family",
-        default="ridge",
-        choices=["ridge", "lasso", "modified_lasso", "rlad", "lp_lp"],
-    )
+    v.add_argument("--family", default="ridge", choices=_FAMILIES)
     v.add_argument("--lambda", dest="lam", type=float, default=0.0)
     v.add_argument("--p", type=float, default=2.0)
     v.add_argument("--epsilon", type=float, required=True)
@@ -433,7 +416,10 @@ def build_parser() -> _Parser:
     v.add_argument("--out", default=None)
     v.set_defaults(func=_cmd_verify)
 
-    for name, handler in (("experiment", _cmd_experiment), ("sparsity", _cmd_sparsity)):
+    for name, runner in (
+        ("experiment", run_relative_error_experiment),
+        ("sparsity", run_sparsity_experiment),
+    ):
         e = sub.add_parser(name, help=f"run the {name} protocol")
         e.add_argument("--config", default=None)
         e.add_argument("--n", type=int, default=None)
@@ -448,10 +434,9 @@ def build_parser() -> _Parser:
         e.add_argument("--schemes", default=None)
         e.add_argument("--csv-path", default=None)
         e.add_argument("--target-column", default=None)
-        e.add_argument("--threads", type=int, default=1)
         e.add_argument("--format", choices=["json", "csv"], default="json")
         e.add_argument("--out", default=None)
-        e.set_defaults(func=handler)
+        e.set_defaults(func=_cmd_table, runner=runner)
 
     lb = sub.add_parser("lowerbound", help="emit a mismatched-exponent witness")
     lb.add_argument("--spec", default=None)

@@ -5,8 +5,8 @@ The relative-error protocol solves the chosen objective once on the full data
 a sampled coreset and re-evaluates that solution on the full data (value V2).
 The cell statistic is the median over trials of |V1 - V2| / V1.  All
 randomness flows through seeds mixed from the master seed and the cell's
-integer coordinates, so reports are byte-identical across runs and across
-worker-thread counts.
+integer coordinates, so no trial depends on another and reports are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import csv as csv_module
 import hashlib
 import json
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -279,11 +278,15 @@ def run_relative_error_experiment(
 
     Trials whose coreset solver failed to converge are dropped from the
     median; a cell with no surviving trial raises.  The full-data solves and
-    score computations happen once up front, then cells run independently
-    (optionally on a thread pool) with per-cell seeds.
+    score computations happen once up front, then the trials run one after
+    another, each with its own seed.
+
+    The harness is serial: ``threads`` accepts only 1.  It is kept for the
+    benchmark's ``perfbench/workload.py``, which still passes ``threads=1``,
+    and goes with the next change to that benchmark.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads != 1:
+        raise ValueError(f"the harness is serial; threads must be 1, got {threads}")
     instance, _ = build_experiment_instance(config)
     aprime = augment(instance)
     family = config.objective_family
@@ -307,72 +310,47 @@ def run_relative_error_experiment(
         for li, lam in enumerate(config.lambda_grid):
             scores[(si, li)] = _scheme_scores(scheme, aprime, lam, config, si, li)
 
-    tasks = [
-        (si, zi, li, ti)
-        for si in range(len(config.schemes))
-        for zi in range(len(config.sample_sizes))
-        for li in range(len(config.lambda_grid))
-        for ti in range(config.trials_per_cell)
-    ]
-
-    def run_trial(task):
-        si, zi, li, ti = task
-        scheme = config.schemes[si]
-        size = config.sample_sizes[zi]
-        lam = config.lambda_grid[li]
-        seed = mix_seed(config.master_seed, _TAG_CELL, si, zi, li, ti)
-        if scheme == "identity":
-            core = identity_coreset(instance)
-        else:
-            core = build_coreset(
-                instance, scores[(si, li)], size, spec_for[lam].p, seed
-            )
-        sub = _solve(family, core.as_instance(), lam, coreset=True)
-        v1 = full_values[lam]
-        v2 = evaluate_objective(instance, sub.solution, spec_for[lam])
-        return TrialReport(
-            scheme=scheme,
-            sample_size=size,
-            lam=lam,
-            relative_error=abs(v1 - v2) / v1,
-            seed=seed,
-            solver_converged=sub.converged,
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_trial, tasks))
-    else:
-        reports = [run_trial(t) for t in tasks]
-    by_cell = {}
-    for task, report in zip(tasks, reports):
-        by_cell.setdefault(task[:3], []).append(report)
-
-    row_keys = [
-        (zi, li)
-        for zi in range(len(config.sample_sizes))
-        for li in range(len(config.lambda_grid))
-    ]
-    row_labels = [_row_label(config, zi, li) for zi, li in row_keys]
-    col_labels = list(config.schemes)
-    cells, trials = [], []
-    for zi, li in row_keys:
-        cell_row, trial_row = [], []
-        for si in range(len(config.schemes)):
-            cell_reports = by_cell[(si, zi, li)]
-            kept = [t.relative_error for t in cell_reports if t.solver_converged]
-            if not kept:
-                raise RuntimeError(
-                    f"no converged trials for scheme={config.schemes[si]} "
-                    f"size={config.sample_sizes[zi]} lambda={config.lambda_grid[li]}"
-                )
-            cell_row.append(float(statistics.median(kept)))
-            trial_row.append([t.relative_error for t in cell_reports])
-        cells.append(cell_row)
-        trials.append(trial_row)
+    row_labels, cells, trials = [], [], []
+    for zi, size in enumerate(config.sample_sizes):
+        for li, lam in enumerate(config.lambda_grid):
+            v1 = full_values[lam]
+            cell_row, trial_row = [], []
+            for si, scheme in enumerate(config.schemes):
+                reports = []
+                for ti in range(config.trials_per_cell):
+                    seed = mix_seed(config.master_seed, _TAG_CELL, si, zi, li, ti)
+                    if scheme == "identity":
+                        core = identity_coreset(instance)
+                    else:
+                        core = build_coreset(
+                            instance, scores[(si, li)], size, spec_for[lam].p, seed
+                        )
+                    sub = _solve(family, core.as_instance(), lam, coreset=True)
+                    v2 = evaluate_objective(instance, sub.solution, spec_for[lam])
+                    reports.append(
+                        TrialReport(
+                            scheme=scheme,
+                            sample_size=size,
+                            lam=lam,
+                            relative_error=abs(v1 - v2) / v1,
+                            seed=seed,
+                            solver_converged=sub.converged,
+                        )
+                    )
+                kept = [t.relative_error for t in reports if t.solver_converged]
+                if not kept:
+                    raise RuntimeError(
+                        f"no converged trials for scheme={scheme} "
+                        f"size={size} lambda={lam}"
+                    )
+                cell_row.append(float(statistics.median(kept)))
+                trial_row.append([t.relative_error for t in reports])
+            row_labels.append(_row_label(config, zi, li))
+            cells.append(cell_row)
+            trials.append(trial_row)
     return DataTable(
         row_labels=row_labels,
-        col_labels=col_labels,
+        col_labels=list(config.schemes),
         cells=cells,
         trials=trials,
         config_digest=config.digest(),

@@ -5,6 +5,8 @@ with the measured numbers, so the suite output doubles as a scorecard.
 The heavy synthetic-benchmark runs are shared through module fixtures.
 """
 
+import dataclasses
+import hashlib
 import time
 
 import numpy as np
@@ -56,17 +58,17 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _run_both(config):
+def _run(config):
+    # "one" is the key the checks below read the single run's table from.
     start = time.time()
-    one = run_relative_error_experiment(config, threads=1)
+    one = run_relative_error_experiment(config)
     elapsed = time.time() - start
-    four = run_relative_error_experiment(config, threads=4)
-    return {"one": one, "four": four, "elapsed": elapsed}
+    return {"config": config, "one": one, "elapsed": elapsed}
 
 
 @pytest.fixture(scope="module")
 def leverage_run():
-    return _run_both(
+    return _run(
         ExperimentConfig(
             n=20_000,
             d=30,
@@ -81,7 +83,7 @@ def leverage_run():
 
 @pytest.fixture(scope="module")
 def lambda_sweep_run():
-    return _run_both(
+    return _run(
         ExperimentConfig(
             n=20_000,
             d=30,
@@ -96,7 +98,7 @@ def lambda_sweep_run():
 
 @pytest.fixture(scope="module")
 def rlad_run():
-    return _run_both(
+    return _run(
         ExperimentConfig(
             n=20_000,
             d=30,
@@ -380,23 +382,30 @@ def test_10_coreset_optimum_is_near_optimal_on_full_data():
     )
 
 
-def test_11_reports_byte_identical_across_thread_counts(
-    leverage_run, lambda_sweep_run, rlad_run
-):
-    mismatches = []
+def test_11_reports_reproduce_trial_by_trial(leverage_run, lambda_sweep_run, rlad_run):
+    mismatches, digests = [], []
     for name, run in (
         ("leverage", leverage_run),
         ("lambda-sweep", lambda_sweep_run),
         ("rlad", rlad_run),
     ):
+        # A one-trial rerun shares only trial 0 of each cell with the full
+        # run and reaches it after a different sequence of trials, so equal
+        # bits mean every trial depends on its own seed alone.
+        first = run_relative_error_experiment(
+            dataclasses.replace(run["config"], trials_per_cell=1)
+        )
+        full = [[cell[0] for cell in row] for row in run["one"].trials]
+        rerun = [[cell[0] for cell in row] for row in first.trials]
+        if full != rerun:
+            mismatches.append(name)
         for fmt in ("json", "csv"):
-            if emit_report(run["one"], fmt) != emit_report(run["four"], fmt):
-                mismatches.append(f"{name}/{fmt}")
+            text = emit_report(run["one"], fmt)
+            digests.append(f"{name}/{fmt} {hashlib.sha256(text.encode()).hexdigest()}")
     ok = not mismatches
     _verdict(
-        "threaded and serial runs emit identical reports",
+        "one-trial reruns reproduce trial 0 of every cell",
         ok,
-        "all three benchmark configs match at 1 and 4 threads"
-        if ok
-        else f"mismatches: {mismatches}",
+        ("all cells of the three benchmark configs match; " if ok
+         else f"mismatches: {mismatches}; ") + "report sha256 " + ", ".join(digests),
     )

@@ -11,6 +11,7 @@ import pytest
 import regcoreset
 from regcoreset.cli import dispatch
 from regcoreset.coreset import identity_coreset
+from regcoreset.experiments import ExperimentConfig, build_experiment_instance
 from regcoreset.linalg import RegressionInstance
 
 
@@ -43,6 +44,19 @@ def test_gen_ng_deterministic(tmp_path):
     assert np.array_equal(A[-2:, 2:], np.eye(2))
     assert len(doc["response"]) == 50
     assert doc["config"]["seed"] == 11
+
+
+def test_gen_ng_matches_experiment_instance(tmp_path):
+    out = tmp_path / "inst.json"
+    args = ["gen-ng", "--n", "60", "--d", "4", "--seed", "11", "--out", str(out)]
+    assert dispatch(args) == 0
+    doc = json.loads(out.read_text())
+    instance, x_true = build_experiment_instance(
+        ExperimentConfig(n=60, d=4, lambda_grid=(0.5,), sample_sizes=(10,), master_seed=11)
+    )
+    assert np.array_equal(np.asarray(doc["design"]), instance.design)
+    assert np.array_equal(np.asarray(doc["response"]), instance.response)
+    assert np.array_equal(np.asarray(doc["x_true"]), x_true)
 
 
 def test_coreset_and_solve_chain(tmp_path, capsys):
@@ -192,21 +206,15 @@ def test_experiment_outputs_are_byte_identical(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     outs = [tmp_path / f"r{i}.json" for i in range(3)]
-    for out, threads in zip(outs, ("1", "1", "4")):
+    for out in outs:
         code = dispatch(
-            [
-                "experiment",
-                "--config", str(config_path),
-                "--threads", threads,
-                "--out", str(out),
-            ]
+            ["experiment", "--config", str(config_path), "--out", str(out)]
         )
         assert code == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    first = json.loads(outs[0].read_text())
-    third = json.loads(outs[2].read_text())
-    assert first["table"] == third["table"]
-    assert first["config"]["master_seed"] == 5
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    doc = json.loads(outs[0].read_text())
+    assert set(doc) == {"config", "table"}
+    assert doc["config"]["master_seed"] == 5
 
 
 def test_experiment_csv_format(tmp_path, capsys):
@@ -289,6 +297,7 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     assert dispatch(["coreset", "--instance", inst, "--scheme", "uniform"]) == 1
     assert dispatch(["solve", "--family", "ridge"]) == 1
     assert dispatch(["solve", "--instance", inst, "--coreset", inst, "--family", "ridge"]) == 1
+    assert dispatch(["experiment", "--n", "60", "--d", "4", "--threads", "2"]) == 1
     capsys.readouterr()
 
 

@@ -1,5 +1,6 @@
 """Tests for data generation, CSV ingestion, and the experiment protocols."""
 
+import dataclasses
 import json
 import statistics
 
@@ -190,11 +191,28 @@ def test_relative_error_table_structure():
             assert len(trial_list) == 3
 
 
-def test_relative_error_runs_are_identical_across_threads():
+def test_relative_error_runs_are_byte_identical():
     config = _small_config(schemes=("uniform", "ridge_leverage"))
-    serial = emit_report(run_relative_error_experiment(config, threads=1), "json")
-    pooled = emit_report(run_relative_error_experiment(config, threads=4), "json")
-    assert serial == pooled
+    first = run_relative_error_experiment(config)
+    second = run_relative_error_experiment(config)
+    for fmt in ("json", "csv"):
+        assert emit_report(first, fmt) == emit_report(second, fmt)
+
+
+def test_relative_error_trials_share_no_state():
+    # With five trials per cell, every cell after the first is reached after
+    # a different sequence of earlier trials than with three.
+    config = _small_config(
+        schemes=("uniform", "ridge_leverage"), lambda_grid=(0.1, 1.0)
+    )
+    three = run_relative_error_experiment(config)
+    five = run_relative_error_experiment(dataclasses.replace(config, trials_per_cell=5))
+    assert [[cell[:3] for cell in row] for row in five.trials] == three.trials
+
+
+def test_relative_error_rejects_threads():
+    with pytest.raises(ValueError, match="serial"):
+        run_relative_error_experiment(_small_config(), threads=2)
 
 
 def test_relative_error_rlad_scheme_runs():
