@@ -98,13 +98,35 @@ def _load_instance(path: str) -> RegressionInstance:
     )
 
 
-def _load_coreset(path: str) -> Coreset:
+def _load_coreset(path: str, spec: ObjectiveSpec | None = None) -> Coreset:
+    """Read a bare or provenance-wrapped coreset document.
+
+    Rows are pre-scaled by weight^(1/p), so a wrapped coreset whose recorded
+    p differs from the loss exponent of spec would weight its rows wrongly.
+    """
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    doc = json.loads(text)
-    if "coreset" in doc:  # provenance wrapper
-        return Coreset.from_json(json.dumps(doc["coreset"]))
-    return Coreset.from_json(text)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"coreset file {path} does not hold a JSON object")
+    config = doc.get("config")
+    built_p = config.get("p") if isinstance(config, dict) else None
+    if spec is not None and built_p is not None and built_p != spec.p:
+        raise ValueError(
+            f"coreset {path} was scaled for p={built_p}, but family "
+            f"{spec.family!r} has loss exponent p={spec.p}"
+        )
+    return Coreset.from_dict(doc.get("coreset", doc))
+
+
+def _config(args) -> dict:
+    """The command's effective arguments, echoed into the document it writes."""
+    config = {
+        "lambda" if key == "lam" else key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "func", "out")
+    }
+    config["subcommand"] = args.command
+    return config
 
 
 def _cmd_gen_ng(args) -> int:
@@ -113,14 +135,7 @@ def _cmd_gen_ng(args) -> int:
     x_true = rng.standard_normal(args.d)
     b = generate_response(A, x_true, args.noise_scale, mix_seed(args.seed, _TAG_NOISE))
     payload = {
-        "config": {
-            "subcommand": "gen-ng",
-            "n": args.n,
-            "d": args.d,
-            "alpha": args.alpha,
-            "noise_scale": args.noise_scale,
-            "seed": args.seed,
-        },
+        "config": _config(args),
         "n": args.n,
         "d": args.d,
         "design": A.tolist(),
@@ -164,21 +179,11 @@ def _cmd_coreset(args) -> int:
         r = sample_size(
             scores.total, args.epsilon, args.delta, instance.d + 1, args.constant
         )
-    p = 1.0 if args.scheme == "rlad" else args.p
-    core = build_coreset(instance, scores, r, p, args.seed)
+    if args.scheme == "rlad":
+        args.p = 1.0  # echo the effective p
+    core = build_coreset(instance, scores, r, args.p, args.seed)
     payload = {
-        "config": {
-            "subcommand": "coreset",
-            "instance": args.instance,
-            "scheme": args.scheme,
-            "lambda": args.lam,
-            "size": args.size,
-            "epsilon": args.epsilon,
-            "delta": args.delta,
-            "constant": args.constant,
-            "p": p,
-            "seed": args.seed,
-        },
+        "config": _config(args),
         "coreset": json.loads(core.to_json()),
     }
     _write(_dump(payload), args.out)
@@ -192,7 +197,8 @@ def _cmd_solve(args) -> int:
     if args.instance is not None:
         instance = _load_instance(args.instance)
     else:
-        instance = _load_coreset(args.coreset).as_instance()
+        spec = ObjectiveSpec.for_family(args.family, args.lam, p=args.p)
+        instance = _load_coreset(args.coreset, spec).as_instance()
     if args.family == "ridge":
         result = solve_ridge(instance, args.lam)
     elif args.family == "lasso":
@@ -210,16 +216,7 @@ def _cmd_solve(args) -> int:
     else:
         raise ValueError(f"unknown family {args.family!r}")
     payload = {
-        "config": {
-            "subcommand": "solve",
-            "instance": args.instance,
-            "coreset": args.coreset,
-            "family": args.family,
-            "lambda": args.lam,
-            "p": args.p,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-        },
+        "config": _config(args),
         "solution": result.solution.tolist(),
         "objective_value": result.objective_value,
         "iterations": result.iterations,
@@ -236,23 +233,13 @@ def _cmd_verify(args) -> int:
     if args.queries < 1:
         raise ValueError(f"--queries must be >= 1, got {args.queries}")
     instance = _load_instance(args.instance)
-    core = _load_coreset(args.coreset)
     spec = ObjectiveSpec.for_family(args.family, args.lam, p=args.p)
+    core = _load_coreset(args.coreset, spec)
     rng = np.random.default_rng(mix_seed(args.seed, 0x06))
     queries = list(rng.standard_normal((args.queries, instance.d)))
     report = verify_coreset(instance, core, spec, queries, args.epsilon)
     payload = {
-        "config": {
-            "subcommand": "verify",
-            "instance": args.instance,
-            "coreset": args.coreset,
-            "family": args.family,
-            "lambda": args.lam,
-            "p": args.p,
-            "epsilon": args.epsilon,
-            "queries": args.queries,
-            "seed": args.seed,
-        },
+        "config": _config(args),
         "max_relative_deviation": report.max_relative_deviation,
         "worst_query_index": report.worst_query_index,
         "queries_checked": report.queries_checked,
@@ -468,3 +455,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

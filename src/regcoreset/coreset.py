@@ -104,7 +104,13 @@ class Coreset:
 
     @classmethod
     def from_json(cls, text: str) -> "Coreset":
-        doc = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Coreset":
+        """Inverse of to_json after parsing; rows arrive flattened row-major."""
+        if not isinstance(doc, dict):
+            raise ValueError("a coreset document must be a JSON object")
         required = {"n", "d", "r", "seed", "scheme", "source_indices", "weights", "rows"}
         missing = required - doc.keys()
         if missing:

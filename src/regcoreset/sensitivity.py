@@ -13,7 +13,7 @@ the induced p-norm (an upper bound on it only loosens the score).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -149,13 +149,7 @@ def rlad_sensitivity_bounds(
     aprime = as_matrix(aprime, "aprime")
     norm1 = induced_norm_upper(aprime, 1)
     scores = lp_lp_sensitivity_bounds(basis, lam, norm1, aprime.shape[0])
-    return SensitivityScores(
-        values=scores.values,
-        scheme=SCHEME_RLAD,
-        lam=lam,
-        p=1.0,
-        info={"induced_norm": norm1},
-    )
+    return replace(scores, scheme=SCHEME_RLAD)
 
 
 def multiresponse_rlad_sensitivity_bounds(
@@ -178,11 +172,9 @@ def multiresponse_rlad_sensitivity_bounds(
         raise ShapeError(f"ahat has {cols} columns, need more than k={k}")
     design_norm = induced_norm_upper(ahat[:, : cols - k], 1)
     scores = lp_lp_sensitivity_bounds(basis, lam, design_norm, n)
-    return SensitivityScores(
-        values=scores.values,
+    return replace(
+        scores,
         scheme=SCHEME_MULTIRESPONSE,
-        lam=lam,
-        p=1.0,
         info={
             "induced_norm_design": design_norm,
             "induced_norm_stacked": induced_norm_upper(ahat, 1),

@@ -41,8 +41,12 @@ def evaluate_objective(
     x = as_vector(x, "x")
     if x.shape[0] != instance.d:
         raise ShapeError(f"x has length {x.shape[0]}, expected {instance.d}")
-    residual = instance.design @ x - instance.response
-    loss = float(np.linalg.norm(residual, ord=spec.p) ** spec.r)
+    return _objective(instance.design @ x - instance.response, x, spec)
+
+
+def _objective(r: np.ndarray, x: np.ndarray, spec: ObjectiveSpec) -> float:
+    """||r||_p^r + lam * ||x||_q^s for a residual r = Ax - b already in hand."""
+    loss = float(np.linalg.norm(r, ord=spec.p) ** spec.r)
     penalty = float(spec.lam * np.linalg.norm(x, ord=spec.q) ** spec.s)
     return loss + penalty
 
@@ -88,8 +92,7 @@ def solve_ridge(instance: RegressionInstance, lam: float) -> SolverResult:
 
     lam = 0 requires full column rank and reduces to least squares.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    spec = ObjectiveSpec.ridge(lam)
     A, b = instance.design, instance.response
     U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
     if lam == 0:
@@ -98,7 +101,6 @@ def solve_ridge(instance: RegressionInstance, lam: float) -> SolverResult:
         check_full_column_rank(sigma, "design")
     coef = sigma / (sigma**2 + lam)
     x = Vt.T @ (coef * (U.T @ b))
-    spec = ObjectiveSpec.ridge(lam)
     atb = A.T @ b
     residual = float(
         np.linalg.norm((A.T @ (A @ x)) + lam * x - atb)
@@ -113,24 +115,34 @@ def solve_ridge(instance: RegressionInstance, lam: float) -> SolverResult:
     )
 
 
-def _fista(A, b, lam, prox, subgrad_gap, objective, tol, max_iter):
-    """Monotone FISTA: momentum steps are only kept when they descend.
+def _fista(instance, spec, prox, slope, tol, max_iter) -> SolverResult:
+    """Monotone FISTA for ||Ax - b||_2^2 plus the penalty of spec.
 
-    When the accelerated candidate raises the objective the iterate is kept
-    and the momentum sequence restarts, so the recorded objective values never
-    increase.  Convergence needs both a flat 10-iteration objective window and
-    a small subgradient residual.
+    prox(v, step) is the penalty's proximal map and slope(x) its subgradient
+    scale on the support of x.  When the accelerated candidate raises the
+    objective the iterate is kept and the momentum sequence restarts, so the
+    recorded objective values never increase.  Convergence needs both a flat
+    10-iteration objective window and a small subgradient residual.
     """
-    n, d = A.shape
+    A, b = instance.design, instance.response
     sigma_max = float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
     L = max(2.0 * sigma_max**2, 1e-12)
-    atb = A.T @ b
-    scale = 1.0 + float(np.linalg.norm(atb))
+    scale = 1.0 + float(np.linalg.norm(A.T @ b))
 
     def grad(x):
         return 2.0 * (A.T @ (A @ x - b))
 
-    x = np.zeros(d)
+    def objective(x):
+        return _objective(A @ x - b, x, spec)
+
+    def subgrad_gap(x):
+        g, theta = grad(x), slope(x)
+        parts = np.where(
+            x != 0, g + theta * np.sign(x), np.maximum(np.abs(g) - theta, 0.0)
+        )
+        return float(np.linalg.norm(parts)) / scale
+
+    x = np.zeros(instance.d)
     y = x.copy()
     t = 1.0
     history = [objective(x)]
@@ -154,13 +166,13 @@ def _fista(A, b, lam, prox, subgrad_gap, objective, tol, max_iter):
         if iterations >= 10:
             window = history[-11] - history[-1]
             if window < tol * max(abs(history[-1]), _OBJ_FLOOR):
-                res = subgrad_gap(x, grad(x)) / scale
+                res = subgrad_gap(x)
                 if res < tol:
                     converged = True
                     break
     if not converged:
-        res = subgrad_gap(x, grad(x)) / scale
-    return x, iterations, converged, float(res), history
+        res = subgrad_gap(x)
+    return SolverResult(x, objective(x), iterations, converged, float(res), history)
 
 
 def solve_lasso(
@@ -170,26 +182,14 @@ def solve_lasso(
     max_iter: int = 20000,
 ) -> SolverResult:
     """FISTA for ||Ax - b||_2^2 + lam*||x||_1 with step 1/(2*sigma_max^2)."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    A, b = instance.design, instance.response
-    spec = ObjectiveSpec.lasso(lam)
-
-    def objective(x):
-        return evaluate_objective(instance, x, spec)
-
-    def prox(v, step):
-        return soft_threshold(v, lam * step)
-
-    def subgrad_gap(x, g):
-        on = x != 0
-        parts = np.where(on, g + lam * np.sign(x), np.maximum(np.abs(g) - lam, 0.0))
-        return float(np.linalg.norm(parts))
-
-    x, its, conv, res, hist = _fista(
-        A, b, lam, prox, subgrad_gap, objective, tol, max_iter
+    return _fista(
+        instance,
+        ObjectiveSpec.lasso(lam),
+        lambda v, step: soft_threshold(v, lam * step),
+        lambda x: lam,
+        tol,
+        max_iter,
     )
-    return SolverResult(x, objective(x), its, conv, res, hist)
 
 
 def solve_modified_lasso(
@@ -199,29 +199,14 @@ def solve_modified_lasso(
     max_iter: int = 20000,
 ) -> SolverResult:
     """FISTA for ||Ax - b||_2^2 + lam*||x||_1^2 using the squared-l1 prox."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    A, b = instance.design, instance.response
-    spec = ObjectiveSpec.modified_lasso(lam)
-
-    def objective(x):
-        return evaluate_objective(instance, x, spec)
-
-    def prox(v, step):
-        return prox_squared_l1(v, lam * step)
-
-    def subgrad_gap(x, g):
-        theta = 2.0 * lam * float(np.sum(np.abs(x)))
-        on = x != 0
-        parts = np.where(
-            on, g + theta * np.sign(x), np.maximum(np.abs(g) - theta, 0.0)
-        )
-        return float(np.linalg.norm(parts))
-
-    x, its, conv, res, hist = _fista(
-        A, b, lam, prox, subgrad_gap, objective, tol, max_iter
+    return _fista(
+        instance,
+        ObjectiveSpec.modified_lasso(lam),
+        lambda v, step: prox_squared_l1(v, lam * step),
+        lambda x: 2.0 * lam * float(np.sum(np.abs(x))),
+        tol,
+        max_iter,
     )
-    return SolverResult(x, objective(x), its, conv, res, hist)
 
 
 def solve_rlad(
@@ -246,38 +231,23 @@ def solve_lp_lp(
     Each sweep solves the weighted ridge system
     (A^T W A + lam * diag(v)) x = A^T W b with W = max(|r|, 1e-8)^(p-2) and
     v = max(|x|, 1e-8)^(p-2); steps that fail to descend are geometrically
-    damped toward the previous iterate.  p = 2 has constant weights, so the
-    very first sweep already returns the ridge solution.
+    damped toward the previous iterate.  p = 2 has constant weights and is
+    solved in closed form by solve_ridge.
     """
     if not 1 <= p <= 4:
         raise ValueError(f"p must lie in [1, 4], got {p}")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
     spec = ObjectiveSpec.lp_lp(p, lam)
     if p == 2:
-        ridge = solve_ridge(instance, lam)
-        return SolverResult(
-            solution=ridge.solution,
-            objective_value=evaluate_objective(instance, ridge.solution, spec),
-            iterations=1,
-            converged=True,
-            optimality_residual=ridge.optimality_residual,
-        )
+        return solve_ridge(instance, lam)
     A, b = instance.design, instance.response
     smooth = 1e-8
     diag = np.diag_indices(instance.d)
-
-    def objective(x, r):
-        # evaluate_objective's lp + lp arithmetic on a known residual r = Ax - b.
-        loss = float(np.linalg.norm(r, ord=spec.p) ** spec.r)
-        return loss + float(spec.lam * np.linalg.norm(x, ord=spec.q) ** spec.s)
-
     try:
         x = solve_ridge(instance, lam).solution
     except RankDeficiencyError:
         x = np.zeros(instance.d)
     r = A @ x - b
-    obj = objective(x, r)
+    obj = _objective(r, x, spec)
     converged = False
     res = np.inf
     flat_sweeps = 0
@@ -293,7 +263,7 @@ def solve_lp_lp(
         while step > 1e-8:
             cand = x + step * (target - x)
             cand_r = A @ cand - b
-            cand_obj = objective(cand, cand_r)
+            cand_obj = _objective(cand_r, cand, spec)
             if cand_obj <= obj:
                 x_new, obj_new, r_new = cand, cand_obj, cand_r
                 break

@@ -4,15 +4,31 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import regcoreset
 from regcoreset.cli import dispatch
-from regcoreset.coreset import identity_coreset
+from regcoreset.conditioning import p_conditioned_basis
+from regcoreset.coreset import build_coreset, identity_coreset
 from regcoreset.experiments import ExperimentConfig, build_experiment_instance
-from regcoreset.linalg import RegressionInstance
+from regcoreset.linalg import RegressionInstance, augment, induced_norm_upper
+from regcoreset.seeding import mix_seed
+from regcoreset.sensitivity import (
+    lp_lp_sensitivity_bounds,
+    ridge_leverage_scores,
+    rlad_sensitivity_bounds,
+    uniform_scores,
+)
+from regcoreset.solvers import (
+    solve_lasso,
+    solve_lp_lp,
+    solve_modified_lasso,
+    solve_ridge,
+    solve_rlad,
+)
 
 
 def _write_instance(path, design, response):
@@ -298,6 +314,9 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     assert dispatch(["solve", "--family", "ridge"]) == 1
     assert dispatch(["solve", "--instance", inst, "--coreset", inst, "--family", "ridge"]) == 1
     assert dispatch(["experiment", "--n", "60", "--d", "4", "--threads", "2"]) == 1
+    for text in ("[1, 2]", '{"config": 5, "coreset": {}}', '{"coreset": 5}'):
+        core_path.write_text(text)
+        assert dispatch(["solve", "--coreset", str(core_path), "--family", "ridge"]) == 1
     capsys.readouterr()
 
 
@@ -307,3 +326,178 @@ def test_missing_file_exits_one(tmp_path, capsys):
         == 1
     )
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_main():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(regcoreset.__file__)))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "regcoreset.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    version = run("--version")
+    assert version.returncode == 0
+    assert version.stdout.strip() == regcoreset.__version__ == "0.1.0"
+    assert run("experiment", "--threads", "2", "--n", "60", "--d", "4").returncode == 1
+
+
+@pytest.fixture(scope="module")
+def ng_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ng") / "inst.json"
+    argv = ["gen-ng", "--n", "120", "--d", "4", "--seed", "4", "--out", str(path)]
+    assert dispatch(argv) == 0
+    return str(path)
+
+
+def _read_instance(path):
+    doc = json.loads(Path(path).read_text())
+    return RegressionInstance(np.asarray(doc["design"]), np.asarray(doc["response"]))
+
+
+# scheme -> (extra flags, effective p, score builder on (instance, A', basis seed))
+_SCHEMES = {
+    "uniform": ([], 2.0, lambda inst, ap, seed: uniform_scores(inst.n)),
+    "leverage": ([], 2.0, lambda inst, ap, seed: ridge_leverage_scores(ap, 0.0)),
+    "ridge-leverage": ([], 2.0, lambda inst, ap, seed: ridge_leverage_scores(ap, 0.5)),
+    "lp-lp": (
+        ["--p", "1.5"],
+        1.5,
+        lambda inst, ap, seed: lp_lp_sensitivity_bounds(
+            p_conditioned_basis(ap, 1.5, seed), 0.5, induced_norm_upper(ap, 1.5), inst.n
+        ),
+    ),
+    "rlad": (
+        [],
+        1.0,
+        lambda inst, ap, seed: rlad_sensitivity_bounds(
+            p_conditioned_basis(ap, 1.0, seed), 0.5, ap
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(_SCHEMES))
+def test_coreset_document_matches_library(ng_path, tmp_path, scheme):
+    flags, p, scores_for = _SCHEMES[scheme]
+    out = tmp_path / "core.json"
+    argv = ["coreset", "--instance", ng_path, "--scheme", scheme, "--lambda", "0.5",
+            "--size", "30", "--seed", "9", "--out", str(out), *flags]
+    assert dispatch(argv) == 0
+    doc = json.loads(out.read_text())
+    instance = _read_instance(ng_path)
+    scores = scores_for(instance, augment(instance), mix_seed(9, 0x0B))
+    expected = build_coreset(instance, scores, 30, p, 9)
+    assert doc["coreset"] == json.loads(expected.to_json())
+    assert doc["config"] == {
+        "subcommand": "coreset", "instance": ng_path, "scheme": scheme,
+        "lambda": 0.5, "size": 30, "epsilon": None, "delta": 0.1,
+        "constant": 0.5, "p": p, "seed": 9,
+    }
+
+
+# family -> (extra flags, p echoed, library call at the CLI defaults)
+_FAMILY_SOLVES = {
+    "ridge": ([], 2.0, lambda inst: solve_ridge(inst, 0.5)),
+    "lasso": ([], 2.0, lambda inst: solve_lasso(inst, 0.5, tol=1e-7, max_iter=20000)),
+    "modified_lasso": (
+        [], 2.0, lambda inst: solve_modified_lasso(inst, 0.5, tol=1e-7, max_iter=20000)
+    ),
+    "rlad": ([], 2.0, lambda inst: solve_rlad(inst, 0.5, tol=1e-7, max_iter=20000)),
+    "lp_lp": (
+        ["--p", "1.5"], 1.5, lambda inst: solve_lp_lp(inst, 1.5, 0.5, tol=1e-7, max_iter=20000)
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_SOLVES))
+def test_solve_document_matches_library(ng_path, tmp_path, family):
+    flags, p, solve = _FAMILY_SOLVES[family]
+    out = tmp_path / "solve.json"
+    argv = ["solve", "--instance", ng_path, "--family", family, "--lambda", "0.5",
+            "--out", str(out), *flags]
+    assert dispatch(argv) == 0
+    doc = json.loads(out.read_text())
+    result = solve(_read_instance(ng_path))
+    assert doc.pop("config") == {
+        "subcommand": "solve", "instance": ng_path, "coreset": None, "family": family,
+        "lambda": 0.5, "p": p, "tol": 1e-7, "max_iter": 20000,
+    }
+    assert doc == json.loads(json.dumps({
+        "solution": result.solution.tolist(),
+        "objective_value": result.objective_value,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "optimality_residual": result.optimality_residual,
+    }))
+
+
+def test_readme_chain_exits_zero_and_echoes_config(tmp_path):
+    inst, core, out = (str(tmp_path / name) for name in ("i.json", "c.json", "v.json"))
+    family = ["--family", "modified_lasso", "--lambda", "0.5"]
+    assert dispatch(["gen-ng", "--n", "200", "--d", "6", "--seed", "2", "--out", inst]) == 0
+    assert dispatch(["coreset", "--instance", inst, "--scheme", "ridge-leverage",
+                     "--lambda", "0.5", "--size", "40", "--out", core]) == 0
+    assert dispatch(["solve", "--coreset", core, *family, "--out", out]) == 0
+    assert dispatch(["verify", "--instance", inst, "--coreset", core, *family,
+                     "--epsilon", "0.3", "--queries", "50", "--out", out]) == 0
+    assert json.loads(Path(out).read_text())["config"] == {
+        "subcommand": "verify", "instance": inst, "coreset": core,
+        "family": "modified_lasso", "lambda": 0.5, "p": 2.0, "epsilon": 0.3,
+        "queries": 50, "seed": 0,
+    }
+    assert json.loads(Path(inst).read_text())["config"] == {
+        "subcommand": "gen-ng", "n": 200, "d": 6, "alpha": 0.00065,
+        "noise_scale": 1e-5, "seed": 2,
+    }
+
+
+@pytest.mark.parametrize(
+    "scheme, family, built, wanted",
+    [("ridge-leverage", "rlad", 2.0, 1.0), ("rlad", "ridge", 1.0, 2.0)],
+)
+def test_coreset_scaled_for_another_p_is_rejected(
+    ng_path, tmp_path, capsys, scheme, family, built, wanted
+):
+    core, bare = tmp_path / "core.json", tmp_path / "bare.json"
+    argv = ["coreset", "--instance", ng_path, "--scheme", scheme, "--lambda", "0.5",
+            "--size", "30", "--out", str(core)]
+    assert dispatch(argv) == 0
+    flags = ["--family", family, "--lambda", "0.5"]
+    assert dispatch(["solve", "--coreset", str(core), *flags]) == 1
+    assert dispatch(["verify", "--instance", ng_path, "--coreset", str(core), *flags,
+                     "--epsilon", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"scaled for p={built}") == 2
+    assert err.count(f"{family!r} has loss exponent p={wanted}") == 2
+    # A bare coreset document carries no p, so it stays accepted.
+    bare.write_text(json.dumps(json.loads(core.read_text())["coreset"]))
+    assert dispatch(["solve", "--coreset", str(bare), *flags]) == 0
+    capsys.readouterr()
+
+
+def test_experiment_reads_csv_config(tmp_path):
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((40, 4))
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(
+        "a,b,c,y\n" + "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
+    )
+    config = {
+        "n": 40, "d": 3, "lambda_grid": [0.5], "sample_sizes": [10],
+        "schemes": ["uniform"], "objective_family": "ridge", "trials_per_cell": 1,
+        "csv_path": str(csv_path), "target_column": "y",
+    }
+    config_path, out = tmp_path / "config.json", tmp_path / "table.json"
+    config_path.write_text(json.dumps(config))
+    assert dispatch(["experiment", "--config", str(config_path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["csv_path"] == str(csv_path)
+    assert doc["config"]["target_column"] == "y"
+    del config["target_column"]
+    config_path.write_text(json.dumps(config))
+    assert dispatch(["experiment", "--config", str(config_path), "--out", str(out)]) == 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcoreset.errors import RankDeficiencyError, ShapeError
 from regcoreset.linalg import RegressionInstance
@@ -79,17 +81,33 @@ def test_prox_squared_l1_basics():
         prox_squared_l1(v, -0.1)
 
 
-def test_prox_squared_l1_optimality_condition():
+@st.composite
+def _prox_inputs(draw):
+    # Entries are drawn from a small pool of magnitudes with random signs, so
+    # ties in |v| are common; the pool includes exact zeros.
+    magnitudes = st.just(0.0) | st.floats(1e-6, 1e3)
+    pool = draw(st.lists(magnitudes, min_size=1, max_size=4))
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), st.sampled_from((-1.0, 1.0))),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return np.array([sign * mag for mag, sign in picks]), draw(st.floats(1e-4, 1e2))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_prox_inputs())
+def test_prox_squared_l1_optimality_condition(inputs):
     # (x - v) + 2t*||x||_1 * g = 0 with g a subgradient of ||x||_1.
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(6) * rng.choice([0.1, 1.0, 10.0])
-        t = float(rng.uniform(0.01, 2.0))
-        x = prox_squared_l1(v, t)
-        theta = 2.0 * t * np.sum(np.abs(x))
-        on = x != 0
-        assert np.allclose((x - v)[on] + theta * np.sign(x[on]), 0.0, atol=1e-8)
-        assert np.all(np.abs(v[~on]) <= theta + 1e-8)
+    v, t = inputs
+    x = prox_squared_l1(v, t)
+    theta = 2.0 * t * np.sum(np.abs(x))
+    on = x != 0
+    atol = 1e-10 * float(np.max(np.abs(v)))
+    assert np.allclose((x - v)[on] + theta * np.sign(x[on]), 0.0, atol=atol)
+    assert np.all(np.abs(v[~on]) <= theta + atol)
 
 
 def test_prox_squared_l1_beats_perturbations():
