@@ -15,7 +15,7 @@ class RankDeficiencyError(ValueError):
 
 
 class ConditioningFailureError(RuntimeError):
-    """Sketch-based basis construction failed after all reseed attempts."""
+    """Basis construction failed: a singular factor or a large residual."""
 
 
 class SchemeMismatchError(ValueError):

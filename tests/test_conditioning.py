@@ -1,11 +1,18 @@
 """Tests for well-conditioned basis construction and certification."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import regcoreset
 from regcoreset.conditioning import (
+    L1_LEWIS,
     ORTHONORMAL,
     P_STABLE_SKETCH,
     WellConditionedBasis,
@@ -22,6 +29,7 @@ from regcoreset.errors import (
     ShapeError,
 )
 from regcoreset.linalg import entrywise_p_norm
+from regcoreset.sensitivity import rlad_sensitivity_bounds
 
 
 def test_dual_exponent_pairs():
@@ -110,13 +118,91 @@ def test_sketch_rejects_bad_inputs():
 
 
 def test_sketch_deterministic_given_seed():
+    # p = 1.5 runs the p-stable sketch, the one path that uses the seed.
     M = np.random.default_rng(8).standard_normal((60, 3))
-    a = p_conditioned_basis(M, 1.0, seed=4)
-    b = p_conditioned_basis(M, 1.0, seed=4)
+    a = p_conditioned_basis(M, 1.5, seed=4)
+    b = p_conditioned_basis(M, 1.5, seed=4)
     assert np.array_equal(a.basis, b.basis)
     assert a.alpha == b.alpha and a.beta == b.beta
-    c = p_conditioned_basis(M, 1.0, seed=5)
+    c = p_conditioned_basis(M, 1.5, seed=5)
     assert not np.array_equal(a.basis, c.basis)
+
+
+def test_l1_lewis_basis_ignores_seed_and_is_certified():
+    M = np.random.default_rng(8).standard_normal((60, 3))
+    a = p_conditioned_basis(M, 1.0, seed=4)
+    b = p_conditioned_basis(M, 1.0, seed=5)
+    assert np.array_equal(a.basis, b.basis)
+    assert np.array_equal(a.change_of_basis, b.change_of_basis)
+    assert a.alpha == b.alpha and a.beta == b.beta
+    assert a.construction == L1_LEWIS
+    for seed in (4, 5):
+        assert verify_conditioning(a, 10_000, seed).beta_empirical <= a.beta
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    m=st.integers(1, 4),
+    extra_rows=st.integers(1, 36),
+    data_seed=st.integers(0, 2**32 - 1),
+    zero_row=st.booleans(),
+    spike=st.sampled_from([1.0, 1e2, 1e4, 1e6]),
+)
+def test_l1_lewis_beta_is_a_certificate(m, extra_rows, data_seed, zero_row, spike):
+    # ||z||_2 <= beta ||Uz||_1 must hold for every z, not only on average:
+    # probe random directions, the axes and every row direction of U, which
+    # is where the bound is tight (one column, or one high-leverage row).
+    rng = np.random.default_rng(data_seed)
+    M = rng.standard_normal((m + extra_rows, m))
+    if zero_row:
+        M[0] = 0.0
+    M[-1] *= spike
+    basis = p_conditioned_basis(M, 1.0, seed=0)
+    U = basis.basis
+    assert np.all(np.isfinite(U)) and np.isfinite(basis.beta)
+    Z = np.hstack([rng.standard_normal((m, 200)), np.eye(m), U.T])
+    Z = Z[:, np.linalg.norm(Z, axis=0) > 0]
+    lhs = np.linalg.norm(Z, axis=0)
+    rhs = basis.beta * np.sum(np.abs(U @ Z), axis=0)
+    assert np.all(lhs <= rhs)
+    assert verify_conditioning(basis, 2_000, data_seed).beta_empirical <= basis.beta
+
+
+def test_l1_lewis_zero_row_gives_finite_basis_and_scores():
+    M = np.random.default_rng(13).standard_normal((50, 4))
+    M[[0, 17]] = 0.0
+    basis = p_conditioned_basis(M, 1.0, seed=0)
+    assert np.all(np.isfinite(basis.basis)) and np.isfinite(basis.beta)
+    assert np.all(basis.basis[[0, 17]] == 0.0)
+    scores = rlad_sensitivity_bounds(basis, 0.5, M)
+    assert np.all(np.isfinite(scores.values)) and np.isfinite(scores.total)
+
+
+def test_l1_lewis_basis_memory_is_a_few_copies_of_the_input():
+    M = np.random.default_rng(14).standard_normal((20_000, 31))
+    tracemalloc.start()
+    try:
+        basis = p_conditioned_basis(M, 1.0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.construction == L1_LEWIS
+    assert peak < 8 * M.nbytes
+
+
+def test_import_and_l1_basis_load_no_scipy():
+    code = (
+        "import sys, numpy as np, regcoreset\n"
+        "M = np.random.default_rng(0).standard_normal((50, 3))\n"
+        "regcoreset.p_conditioned_basis(M, 1.0, 0)\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(regcoreset.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_reports_exact_alpha_witness():
