@@ -4,6 +4,10 @@ Closed form for ridge, FISTA (monotone restart variant) for the lasso and the
 squared-l1 "modified lasso", and damped IRLS for l_p losses with an l_p^p
 penalty, which at p = 1 also serves least absolute deviations with an l1
 penalty (RLAD).
+
+The squared-loss solvers (ridge, lasso, modified lasso) work on the
+triangular factor of [A b], which has at most d + 1 rows and keeps
+||Ax - b||_2 exactly; the objective they return is evaluated on all n rows.
 """
 
 from __future__ import annotations
@@ -13,7 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RankDeficiencyError, ShapeError
-from .linalg import RegressionInstance, as_matrix, as_vector, check_full_column_rank
+from .linalg import (
+    RegressionInstance,
+    as_matrix,
+    as_vector,
+    augment,
+    check_full_column_rank,
+)
 from .objective import ObjectiveSpec
 
 _OBJ_FLOOR = 1e-30
@@ -87,24 +97,35 @@ def prox_squared_l1(v, t: float) -> np.ndarray:
     return soft_threshold(v, theta[max(active - 1, 0)])
 
 
-def solve_ridge(instance: RegressionInstance, lam: float) -> SolverResult:
-    """x = V diag(sigma / (sigma^2 + lam)) U^T b via the SVD of A.
+def _squared_loss_factor(instance: RegressionInstance):
+    """(R, c) with ||Rx - c||_2 = ||Ax - b||_2 for every x, on <= d + 1 rows.
 
-    lam = 0 requires full column rank and reduces to least squares.
+    They are the columns of T in the QR decomposition [A b] = QT, so also
+    R^T R = A^T A and R^T c = A^T b.
+    """
+    T = np.linalg.qr(augment(instance), mode="r")
+    return T[:, :-1], T[:, -1]
+
+
+def solve_ridge(instance: RegressionInstance, lam: float) -> SolverResult:
+    """x = V diag(sigma / (sigma^2 + lam)) U^T c via the SVD of R.
+
+    (R, c) is the squared-loss factor of [A b]; R has the singular values of
+    A.  lam = 0 requires full column rank and reduces to least squares.
     """
     spec = ObjectiveSpec.ridge(lam)
-    A, b = instance.design, instance.response
-    U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
+    R, c = _squared_loss_factor(instance)
+    U, sigma, Vt = np.linalg.svd(R, full_matrices=False)
     if lam == 0:
         if instance.n < instance.d:
             raise RankDeficiencyError("lam = 0 needs a full-column-rank design")
         check_full_column_rank(sigma, "design")
     coef = sigma / (sigma**2 + lam)
-    x = Vt.T @ (coef * (U.T @ b))
-    atb = A.T @ b
+    x = Vt.T @ (coef * (U.T @ c))
+    rtc = R.T @ c
     residual = float(
-        np.linalg.norm((A.T @ (A @ x)) + lam * x - atb)
-        / (1.0 + np.linalg.norm(atb))
+        np.linalg.norm((R.T @ (R @ x)) + lam * x - rtc)
+        / (1.0 + np.linalg.norm(rtc))
     )
     return SolverResult(
         solution=x,
@@ -118,22 +139,26 @@ def solve_ridge(instance: RegressionInstance, lam: float) -> SolverResult:
 def _fista(instance, spec, prox, slope, tol, max_iter) -> SolverResult:
     """Monotone FISTA for ||Ax - b||_2^2 plus the penalty of spec.
 
+    Step size, gradient, objective history and both stopping tests use the
+    squared-loss factor (R, c) of [A b], so no iteration touches the n rows;
+    the returned objective is evaluated on all n rows.
+
     prox(v, step) is the penalty's proximal map and slope(x) its subgradient
     scale on the support of x.  When the accelerated candidate raises the
     objective the iterate is kept and the momentum sequence restarts, so the
     recorded objective values never increase.  Convergence needs both a flat
     10-iteration objective window and a small subgradient residual.
     """
-    A, b = instance.design, instance.response
-    sigma_max = float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
+    R, c = _squared_loss_factor(instance)
+    sigma_max = float(np.linalg.svd(R, compute_uv=False)[0])
     L = max(2.0 * sigma_max**2, 1e-12)
-    scale = 1.0 + float(np.linalg.norm(A.T @ b))
+    scale = 1.0 + float(np.linalg.norm(R.T @ c))
 
     def grad(x):
-        return 2.0 * (A.T @ (A @ x - b))
+        return 2.0 * (R.T @ (R @ x - c))
 
     def objective(x):
-        return _objective(A @ x - b, x, spec)
+        return _objective(R @ x - c, x, spec)
 
     def subgrad_gap(x):
         g, theta = grad(x), slope(x)
@@ -172,7 +197,9 @@ def _fista(instance, spec, prox, slope, tol, max_iter) -> SolverResult:
                     break
     if not converged:
         res = subgrad_gap(x)
-    return SolverResult(x, objective(x), iterations, converged, float(res), history)
+    return SolverResult(
+        x, evaluate_objective(instance, x, spec), iterations, converged, float(res), history
+    )
 
 
 def solve_lasso(

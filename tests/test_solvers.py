@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regcoreset.errors import RankDeficiencyError, ShapeError
+from regcoreset.experiments import ExperimentConfig, build_experiment_instance
 from regcoreset.linalg import RegressionInstance
 from regcoreset.objective import ObjectiveSpec
 from regcoreset.solvers import (
+    _squared_loss_factor,
     evaluate_objective,
     multiresponse_rlad_objective,
     prox_squared_l1,
@@ -328,3 +330,73 @@ def test_converged_solutions_beat_perturbations():
             delta *= 1e-3 * (1 + np.linalg.norm(result.solution)) / np.linalg.norm(delta)
             probe = evaluate_objective(inst, result.solution + delta, spec)
             assert base <= probe + 1e-10 * max(base, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    d=st.integers(1, 6),
+    shape=st.sampled_from(["wide", "square_plus_one", "tall"]),
+    data_seed=st.integers(0, 2**32 - 1),
+    duplicate_column=st.booleans(),
+    zero_response=st.booleans(),
+    scale_rows=st.booleans(),
+)
+def test_squared_loss_factor_is_lossless(
+    d, shape, data_seed, duplicate_column, zero_response, scale_rows
+):
+    # [A b] = QT keeps every squared loss: ||T[:, :-1] x - T[:, -1]|| equals
+    # ||Ax - b|| for all x, on at most d + 1 rows, whatever n is.
+    rng = np.random.default_rng(data_seed)
+    n = {"wide": int(rng.integers(1, d + 1)), "square_plus_one": d + 1,
+         "tall": int(rng.integers(20, 60)) * d}[shape]
+    A = rng.standard_normal((n, d))
+    b = rng.standard_normal(n)
+    if duplicate_column and d >= 2:
+        A[:, -1] = A[:, 0]
+    if zero_response:
+        b[:] = 0.0
+    if scale_rows:
+        rows = 10.0 ** rng.uniform(-6, 6, n)
+        A *= rows[:, None]
+        b *= rows
+    inst = RegressionInstance(A, b)
+    R, c = _squared_loss_factor(inst)
+    assert R.shape[0] <= d + 1 and R.shape == (c.shape[0], d)
+    for x in rng.standard_normal((5, d)):
+        full = np.linalg.norm(A @ x - b)
+        assert abs(np.linalg.norm(R @ x - c) - full) <= 1e-12 * full
+    atb_tol = 1e-12 * np.linalg.norm(A, 2) * np.linalg.norm(b)
+    assert np.all(np.abs(R.T @ c - A.T @ b) <= atb_tol)
+
+
+def test_fista_reaches_least_squares_at_tiny_residual():
+    # Noise 1e-5 leaves a loss of about 1e-10 ||b||^2, below the rounding of
+    # the normal-equations form x^T A^T A x - 2 b^T A x + b^T b; the factor
+    # keeps it.
+    inst, _ = build_experiment_instance(
+        ExperimentConfig(n=2000, d=30, lambda_grid=(0.0,), sample_sizes=(30,), master_seed=2)
+    )
+    result = solve_modified_lasso(inst, 0.0, tol=1e-9, max_iter=50_000)
+    x_ls = np.linalg.lstsq(inst.design, inst.response, rcond=None)[0]
+    floor = float(np.linalg.norm(inst.design @ x_ls - inst.response) ** 2)
+    assert abs(result.objective_history[-1] - result.objective_value) <= (
+        1e-9 * result.objective_value
+    )
+    assert result.objective_value <= (1.0 + 1e-8) * floor
+    assert result.converged
+
+
+def _ridge_by_svd_of_design(inst, lam):
+    U, sigma, Vt = np.linalg.svd(inst.design, full_matrices=False)
+    return Vt.T @ ((sigma / (sigma**2 + lam)) * (U.T @ inst.response))
+
+
+@pytest.mark.parametrize(
+    "n, d, lam",
+    [(200, 6, 0.5), (6, 6, 0.5), (3, 6, 0.5), (200, 6, 0.0), (40, 12, 0.0)],
+)
+def test_ridge_matches_svd_of_design(n, d, lam):
+    inst = _instance(100 + n + d, n, d)
+    expected = _ridge_by_svd_of_design(inst, lam)
+    got = solve_ridge(inst, lam).solution
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
