@@ -92,10 +92,7 @@ def _load_instance(path: str) -> RegressionInstance:
     for key in ("design", "response"):
         if key not in doc:
             raise ValueError(f"instance file {path} missing key {key!r}")
-    return RegressionInstance(
-        np.asarray(doc["design"], dtype=float),
-        np.asarray(doc["response"], dtype=float),
-    )
+    return RegressionInstance(doc["design"], doc["response"])
 
 
 def _load_coreset(path: str, spec: ObjectiveSpec | None = None) -> Coreset:

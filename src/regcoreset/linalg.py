@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,8 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
 class RegressionInstance:
     """A design matrix paired with a response vector.
 
+    The instance owns read-only copies of both arrays, so nothing the caller
+    does afterwards can change it, and it caches its squared-loss factor.
     Tallness (n >= d) is not required here; operations that need it, such as
     basis construction and leverage scores, check it themselves.
     """
@@ -47,15 +50,28 @@ class RegressionInstance:
     response: np.ndarray
 
     def __post_init__(self):
-        design = as_matrix(self.design, "design")
-        response = as_vector(self.response, "response")
+        design = as_matrix(np.array(self.design, dtype=float), "design")
+        response = as_vector(np.array(self.response, dtype=float), "response")
         if design.shape[0] != response.shape[0]:
             raise ShapeError(
                 f"design has {design.shape[0]} rows but response has "
                 f"{response.shape[0]} entries"
             )
+        design.flags.writeable = False
+        response.flags.writeable = False
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "response", response)
+
+    @cached_property
+    def squared_loss_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, c) with ||Rx - c||_2 = ||Ax - b||_2 for every x, on <= d + 1 rows.
+
+        They are the columns of T in the QR decomposition [A b] = QT, so also
+        R^T R = A^T A and R^T c = A^T b.  Computed on first use, read-only.
+        """
+        T = np.linalg.qr(augment(self), mode="r")
+        T.flags.writeable = False
+        return T[:, :-1], T[:, -1]
 
     @property
     def n(self) -> int:

@@ -8,6 +8,9 @@ penalty (RLAD).
 The squared-loss solvers (ridge, lasso, modified lasso) work on the
 triangular factor of [A b], which has at most d + 1 rows and keeps
 ||Ax - b||_2 exactly; the objective they return is evaluated on all n rows.
+The instance computes that factor on first use and caches it
+(RegressionInstance.squared_loss_factor), so every squared-loss solve on
+one instance shares a single QR of the n rows.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .linalg import (
     RegressionInstance,
     as_matrix,
     as_vector,
-    augment,
     check_full_column_rank,
 )
 from .objective import ObjectiveSpec
@@ -88,6 +90,11 @@ def prox_squared_l1(v, t: float) -> np.ndarray:
     v = as_vector(v, "v")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    return _prox_squared_l1(v, t)
+
+
+def _prox_squared_l1(v: np.ndarray, t: float) -> np.ndarray:
+    """prox_squared_l1 for a finite 1-D float v and t >= 0, unchecked."""
     if t == 0 or not np.any(v):
         return v.copy()
     mags = np.sort(np.abs(v))[::-1]
@@ -97,24 +104,15 @@ def prox_squared_l1(v, t: float) -> np.ndarray:
     return soft_threshold(v, theta[max(active - 1, 0)])
 
 
-def _squared_loss_factor(instance: RegressionInstance):
-    """(R, c) with ||Rx - c||_2 = ||Ax - b||_2 for every x, on <= d + 1 rows.
-
-    They are the columns of T in the QR decomposition [A b] = QT, so also
-    R^T R = A^T A and R^T c = A^T b.
-    """
-    T = np.linalg.qr(augment(instance), mode="r")
-    return T[:, :-1], T[:, -1]
-
-
 def solve_ridge(instance: RegressionInstance, lam: float) -> SolverResult:
     """x = V diag(sigma / (sigma^2 + lam)) U^T c via the SVD of R.
 
-    (R, c) is the squared-loss factor of [A b]; R has the singular values of
-    A.  lam = 0 requires full column rank and reduces to least squares.
+    (R, c) is the instance's cached squared-loss factor of [A b]; R has the
+    singular values of A.  lam = 0 requires full column rank and reduces to
+    least squares.
     """
     spec = ObjectiveSpec.ridge(lam)
-    R, c = _squared_loss_factor(instance)
+    R, c = instance.squared_loss_factor
     U, sigma, Vt = np.linalg.svd(R, full_matrices=False)
     if lam == 0:
         if instance.n < instance.d:
@@ -140,8 +138,9 @@ def _fista(instance, spec, prox, slope, tol, max_iter) -> SolverResult:
     """Monotone FISTA for ||Ax - b||_2^2 plus the penalty of spec.
 
     Step size, gradient, objective history and both stopping tests use the
-    squared-loss factor (R, c) of [A b], so no iteration touches the n rows;
-    the returned objective is evaluated on all n rows.
+    instance's cached squared-loss factor (R, c) of [A b], so no iteration
+    touches the n rows and only the first squared-loss solve on an instance
+    factors them; the returned objective is evaluated on all n rows.
 
     prox(v, step) is the penalty's proximal map and slope(x) its subgradient
     scale on the support of x.  When the accelerated candidate raises the
@@ -149,7 +148,7 @@ def _fista(instance, spec, prox, slope, tol, max_iter) -> SolverResult:
     recorded objective values never increase.  Convergence needs both a flat
     10-iteration objective window and a small subgradient residual.
     """
-    R, c = _squared_loss_factor(instance)
+    R, c = instance.squared_loss_factor
     sigma_max = float(np.linalg.svd(R, compute_uv=False)[0])
     L = max(2.0 * sigma_max**2, 1e-12)
     scale = 1.0 + float(np.linalg.norm(R.T @ c))
@@ -229,7 +228,7 @@ def solve_modified_lasso(
     return _fista(
         instance,
         ObjectiveSpec.modified_lasso(lam),
-        lambda v, step: prox_squared_l1(v, lam * step),
+        lambda v, step: _prox_squared_l1(v, lam * step),
         lambda x: 2.0 * lam * float(np.sum(np.abs(x))),
         tol,
         max_iter,

@@ -45,6 +45,36 @@ def test_instance_shape_agreement():
         RegressionInstance([[1.0], [2.0]], [1.0, 2.0, 3.0])
 
 
+def test_instance_owns_read_only_copies():
+    A = np.arange(8.0).reshape(4, 2)
+    b = np.array([1.0, -2.0, 0.5, 3.0])
+    reference = RegressionInstance(A.copy(), b.copy())
+    before = RegressionInstance(A, b)
+    factor_before = before.squared_loss_factor
+    after = RegressionInstance(A, b)
+    A[:] = -7.0
+    b[:] = 11.0
+    for inst in (before, after):
+        assert np.array_equal(inst.design, reference.design)
+        assert np.array_equal(inst.response, reference.response)
+    for R, c in (factor_before, after.squared_loss_factor):
+        assert np.array_equal(R, reference.squared_loss_factor[0])
+        assert np.array_equal(c, reference.squared_loss_factor[1])
+
+
+def test_instance_arrays_and_factor_are_read_only():
+    inst = RegressionInstance(np.eye(3), np.ones(3))
+    R, c = inst.squared_loss_factor
+    for array, index in ((inst.design, (0, 0)), (inst.response, 0), (R, (0, 0)), (c, 0)):
+        with pytest.raises(ValueError):
+            array[index] = 5.0
+
+
+def test_squared_loss_factor_is_computed_once():
+    inst = RegressionInstance([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]], [0.0, 1.0, 3.0])
+    assert inst.squared_loss_factor is inst.squared_loss_factor
+
+
 def test_augment_appends_response_column():
     inst = RegressionInstance([[1.0]], [2.0])
     assert np.array_equal(augment(inst), [[1.0, 2.0]])

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcoreset.conditioning import orthonormal_basis, p_conditioned_basis
 from regcoreset.errors import (
@@ -288,3 +290,40 @@ def test_oracle_domination_sweep(p, lam):
             spec = ObjectiveSpec.ridge(lam)
         oracle = brute_force_sensitivity(inst, spec)
         assert np.all(oracle.values <= bound.values * (1 + 1e-9))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    d=st.integers(1, 2),
+    data_seed=st.integers(0, 2**32 - 1),
+    lam=st.sampled_from([0.0, 0.5, 5.0]),
+    max_row_scale=st.sampled_from([1.0, 1e2, 1e4]),
+    zero_row=st.booleans(),
+)
+def test_score_bounds_dominate_grid_oracle(d, data_seed, lam, max_row_scale, zero_row):
+    # Every row's bound must sit above the grid oracle, which never exceeds
+    # the true sensitivity, also with badly scaled rows and an empty row.
+    rng = np.random.default_rng(data_seed)
+    n = int(rng.integers(d + 3, 16))
+    A = rng.standard_normal((n, d))
+    b = rng.standard_normal(n)
+    rows = 10.0 ** rng.uniform(0.0, np.log10(max_row_scale), n)
+    A *= rows[:, None]
+    b *= rows
+    if zero_row:
+        A[0], b[0] = 0.0, 0.0
+    inst = RegressionInstance(A, b)
+    aprime = augment(inst)
+    bounds = [
+        (rlad_sensitivity_bounds(p_conditioned_basis(aprime, 1.0, seed=0), lam, aprime),
+         ObjectiveSpec.rlad(lam)),
+        (lp_lp_sensitivity_bounds(orthonormal_basis(aprime), lam,
+                                  induced_norm_upper(aprime, 2), n),
+         ObjectiveSpec.ridge(lam)),
+    ]
+    # At lam = 0 a zero row has sensitivity 0, which SensitivityScores cannot
+    # hold, and the other rows' sensitivities do not depend on it.
+    kept = slice(1, None) if zero_row and lam == 0 else slice(None)
+    for bound, spec in bounds:
+        oracle = brute_force_sensitivity(RegressionInstance(A[kept], b[kept]), spec)
+        assert np.all(oracle.values <= bound.values[kept] * (1 + 1e-9))

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regcoreset.errors import RankDeficiencyError, ShapeError
-from regcoreset.experiments import ExperimentConfig, build_experiment_instance
+from regcoreset.experiments import (
+    ExperimentConfig,
+    build_experiment_instance,
+    run_sparsity_experiment,
+)
 from regcoreset.linalg import RegressionInstance
 from regcoreset.objective import ObjectiveSpec
 from regcoreset.solvers import (
-    _squared_loss_factor,
     evaluate_objective,
     multiresponse_rlad_objective,
     prox_squared_l1,
@@ -360,13 +363,33 @@ def test_squared_loss_factor_is_lossless(
         A *= rows[:, None]
         b *= rows
     inst = RegressionInstance(A, b)
-    R, c = _squared_loss_factor(inst)
+    R, c = inst.squared_loss_factor
     assert R.shape[0] <= d + 1 and R.shape == (c.shape[0], d)
     for x in rng.standard_normal((5, d)):
         full = np.linalg.norm(A @ x - b)
         assert abs(np.linalg.norm(R @ x - c) - full) <= 1e-12 * full
     atb_tol = 1e-12 * np.linalg.norm(A, 2) * np.linalg.norm(b)
     assert np.all(np.abs(R.T @ c - A.T @ b) <= atb_tol)
+
+
+def test_sparsity_table_factors_the_instance_once(monkeypatch):
+    # Lasso, modified lasso and ridge at six lambdas are 18 full-data solves
+    # on one instance; they share its cached factor, so one QR of the n rows.
+    config = ExperimentConfig(
+        n=2000, d=30, lambda_grid=(0.0, 0.05, 0.2, 1.0, 5.0, 20.0),
+        sample_sizes=(30,), master_seed=2,
+    )
+    qr = np.linalg.qr
+    n_row_qrs = []
+
+    def counting_qr(M, *args, **kwargs):
+        if np.shape(M)[0] == config.n:
+            n_row_qrs.append(np.shape(M))
+        return qr(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    run_sparsity_experiment(config)
+    assert n_row_qrs == [(config.n, config.d + 1)]
 
 
 def test_fista_reaches_least_squares_at_tiny_residual():
