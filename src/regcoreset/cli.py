@@ -152,10 +152,10 @@ def _scores_for_cli(args, instance: RegressionInstance):
     if args.scheme == "ridge-leverage":
         return ridge_leverage_scores(aprime, args.lam)
     if args.scheme == "rlad":
-        basis = p_conditioned_basis(aprime, 1.0, mix_seed(args.seed, 0x0B))
+        basis = p_conditioned_basis(aprime, 1.0)
         return rlad_sensitivity_bounds(basis, args.lam, aprime)
     if args.scheme == "lp-lp":
-        basis = p_conditioned_basis(aprime, args.p, mix_seed(args.seed, 0x0B))
+        basis = p_conditioned_basis(aprime, args.p)
         return lp_lp_sensitivity_bounds(
             basis, args.lam, induced_norm_upper(aprime, args.p), instance.n
         )

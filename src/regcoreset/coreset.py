@@ -167,7 +167,7 @@ def identity_coreset(instance: RegressionInstance) -> Coreset:
     """All rows with unit weight; objectives match the full data exactly."""
     n = instance.n
     return Coreset(
-        rows=augment(instance).copy(),
+        rows=augment(instance),
         weights=np.ones(n),
         source_indices=np.arange(n),
         seed=0,

@@ -42,7 +42,6 @@ from .solvers import (
 _TAG_DATA = 0x01
 _TAG_XTRUE = 0x02
 _TAG_NOISE = 0x03
-_TAG_SCORES = 0x04
 _TAG_CELL = 0x05
 
 EXPERIMENT_SCHEMES = ("uniform", "ridge_leverage", "rlad_sensitivity", "identity")
@@ -258,16 +257,13 @@ def _solve(family: str, instance: RegressionInstance, lam: float, coreset: bool 
     raise ValueError(f"unknown objective family {family!r}")
 
 
-def _scheme_scores(scheme, aprime, lam, config, scheme_idx, lam_idx):
+def _scheme_scores(scheme, aprime, lam):
     if scheme == "uniform":
         return uniform_scores(aprime.shape[0])
     if scheme == "ridge_leverage":
         return ridge_leverage_scores(aprime, lam)
     if scheme == "rlad_sensitivity":
-        basis = p_conditioned_basis(
-            aprime, 1.0, mix_seed(config.master_seed, _TAG_SCORES, scheme_idx, lam_idx)
-        )
-        return rlad_sensitivity_bounds(basis, lam, aprime)
+        return rlad_sensitivity_bounds(p_conditioned_basis(aprime, 1.0), lam, aprime)
     raise ValueError(f"scheme {scheme!r} has no score rule")
 
 
@@ -308,7 +304,11 @@ def run_relative_error_experiment(
         if scheme == "identity":
             continue
         for li, lam in enumerate(config.lambda_grid):
-            scores[(si, li)] = _scheme_scores(scheme, aprime, lam, config, si, li)
+            scores[(si, li)] = _scheme_scores(scheme, aprime, lam)
+    # Every identity trial solves this one instance, factored at most once.
+    # It is a separate object from `instance`, the full data.
+    if "identity" in config.schemes:
+        identity_instance = identity_coreset(instance).as_instance()
 
     row_labels, cells, trials = [], [], []
     for zi, size in enumerate(config.sample_sizes):
@@ -320,12 +320,12 @@ def run_relative_error_experiment(
                 for ti in range(config.trials_per_cell):
                     seed = mix_seed(config.master_seed, _TAG_CELL, si, zi, li, ti)
                     if scheme == "identity":
-                        core = identity_coreset(instance)
+                        core_instance = identity_instance
                     else:
-                        core = build_coreset(
+                        core_instance = build_coreset(
                             instance, scores[(si, li)], size, spec_for[lam].p, seed
-                        )
-                    sub = _solve(family, core.as_instance(), lam, coreset=True)
+                        ).as_instance()
+                    sub = _solve(family, core_instance, lam, coreset=True)
                     v2 = evaluate_objective(instance, sub.solution, spec_for[lam])
                     reports.append(
                         TrialReport(

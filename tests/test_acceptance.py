@@ -202,7 +202,7 @@ def test_05_sensitivity_bounds_dominate_grid_oracle():
         aprime = augment(inst)
         p, lam = combos[i % 6]
         if p == 1.0:
-            basis = p_conditioned_basis(aprime, 1.0, seed=i)
+            basis = p_conditioned_basis(aprime, 1.0)
             bound = rlad_sensitivity_bounds(basis, lam, aprime)
             spec = ObjectiveSpec.rlad(lam)
         else:

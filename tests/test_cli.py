@@ -15,7 +15,6 @@ from regcoreset.conditioning import p_conditioned_basis
 from regcoreset.coreset import build_coreset, identity_coreset
 from regcoreset.experiments import ExperimentConfig, build_experiment_instance
 from regcoreset.linalg import RegressionInstance, augment, induced_norm_upper
-from regcoreset.seeding import mix_seed
 from regcoreset.sensitivity import (
     lp_lp_sensitivity_bounds,
     ridge_leverage_scores,
@@ -359,23 +358,23 @@ def _read_instance(path):
     return RegressionInstance(np.asarray(doc["design"]), np.asarray(doc["response"]))
 
 
-# scheme -> (extra flags, effective p, score builder on (instance, A', basis seed))
+# scheme -> (extra flags, effective p, score builder on (instance, A'))
 _SCHEMES = {
-    "uniform": ([], 2.0, lambda inst, ap, seed: uniform_scores(inst.n)),
-    "leverage": ([], 2.0, lambda inst, ap, seed: ridge_leverage_scores(ap, 0.0)),
-    "ridge-leverage": ([], 2.0, lambda inst, ap, seed: ridge_leverage_scores(ap, 0.5)),
+    "uniform": ([], 2.0, lambda inst, ap: uniform_scores(inst.n)),
+    "leverage": ([], 2.0, lambda inst, ap: ridge_leverage_scores(ap, 0.0)),
+    "ridge-leverage": ([], 2.0, lambda inst, ap: ridge_leverage_scores(ap, 0.5)),
     "lp-lp": (
         ["--p", "1.5"],
         1.5,
-        lambda inst, ap, seed: lp_lp_sensitivity_bounds(
-            p_conditioned_basis(ap, 1.5, seed), 0.5, induced_norm_upper(ap, 1.5), inst.n
+        lambda inst, ap: lp_lp_sensitivity_bounds(
+            p_conditioned_basis(ap, 1.5), 0.5, induced_norm_upper(ap, 1.5), inst.n
         ),
     ),
     "rlad": (
         [],
         1.0,
-        lambda inst, ap, seed: rlad_sensitivity_bounds(
-            p_conditioned_basis(ap, 1.0, seed), 0.5, ap
+        lambda inst, ap: rlad_sensitivity_bounds(
+            p_conditioned_basis(ap, 1.0), 0.5, ap
         ),
     ),
 }
@@ -390,7 +389,7 @@ def test_coreset_document_matches_library(ng_path, tmp_path, scheme):
     assert dispatch(argv) == 0
     doc = json.loads(out.read_text())
     instance = _read_instance(ng_path)
-    scores = scores_for(instance, augment(instance), mix_seed(9, 0x0B))
+    scores = scores_for(instance, augment(instance))
     expected = build_coreset(instance, scores, 30, p, 9)
     assert doc["coreset"] == json.loads(expected.to_json())
     assert doc["config"] == {

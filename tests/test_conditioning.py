@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 
 import regcoreset
 from regcoreset.conditioning import (
-    L1_LEWIS,
+    LEWIS,
     ORTHONORMAL,
-    P_STABLE_SKETCH,
     WellConditionedBasis,
     _conditioning_ratios,
     dual_exponent,
-    empirical_beta,
     orthonormal_basis,
     p_conditioned_basis,
     verify_conditioning,
@@ -72,31 +70,33 @@ def test_orthonormal_rejects_rank_deficient_and_wide():
         orthonormal_basis(np.ones((2, 5)))
 
 
-def test_sketch_p2_quality_near_orthonormal():
-    # The p = 2 sketch path should land within 2x of the sqrt(m) reference.
-    M = np.random.default_rng(11).standard_normal((100, 4))
+def test_lewis_p2_quality_near_orthonormal():
+    # At p = 2 the Lewis weights are all 1, so U is the orthonormal factor:
+    # beta = 1 up to rounding and alpha*beta within the 1% alpha slack of sqrt(m).
     for seed in (0, 1, 2):
-        basis = p_conditioned_basis(M, 2.0, seed)
-        assert basis.construction == P_STABLE_SKETCH
-        assert basis.alpha * basis.beta <= 2.0 * np.sqrt(4)
+        M = np.random.default_rng(11 + seed).standard_normal((100, 4))
+        basis = p_conditioned_basis(M, 2.0)
+        assert basis.construction == LEWIS
+        assert basis.beta <= 1 + 1e-9
+        assert basis.alpha * basis.beta <= 1.02 * np.sqrt(4)
 
 
 def test_sketch_p1_quality_cap():
     M = np.random.default_rng(7).standard_normal((200, 3))
-    basis = p_conditioned_basis(M, 1.0, seed=2)
+    basis = p_conditioned_basis(M, 1.0)
     assert basis.alpha * basis.beta <= 3**1.5 * 4
 
 
 def test_sketch_alpha_is_certified():
     M = np.random.default_rng(21).standard_normal((80, 5))
-    basis = p_conditioned_basis(M, 1.0, seed=0)
+    basis = p_conditioned_basis(M, 1.0)
     assert basis.alpha >= entrywise_p_norm(basis.basis, 1.0)
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
 def test_constructed_bases_pass_certificate(p):
     M = np.random.default_rng(int(p * 10)).standard_normal((120, 4))
-    basis = p_conditioned_basis(M, p, seed=5)
+    basis = p_conditioned_basis(M, p)
     report = verify_conditioning(basis, 10_000, seed=99)
     assert not report.violation
     assert report.recorded_alpha == basis.alpha
@@ -107,35 +107,27 @@ def test_constructed_bases_pass_certificate(p):
 
 def test_sketch_rejects_bad_inputs():
     with pytest.raises(ConditioningFailureError):
-        p_conditioned_basis(np.ones((50, 3)), 1.0, 0)
+        p_conditioned_basis(np.ones((50, 3)), 1.0)
     with pytest.raises(ShapeError):
-        p_conditioned_basis(np.ones((2, 5)), 1.0, 0)
+        p_conditioned_basis(np.ones((2, 5)), 1.0)
     M = np.random.default_rng(0).standard_normal((20, 2))
     with pytest.raises(ValueError):
-        p_conditioned_basis(M, 0.5, 0)
+        p_conditioned_basis(M, 0.5)
     with pytest.raises(ValueError):
-        p_conditioned_basis(M, 4.5, 0)
+        p_conditioned_basis(M, 4.5)
 
 
-def test_sketch_deterministic_given_seed():
-    # p = 1.5 runs the p-stable sketch, the one path that uses the seed.
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_lewis_basis_is_deterministic_and_certified(p):
+    # Nothing is sampled: repeat calls give equal bits, and the sampled check
+    # never finds a ratio above the recorded beta.
     M = np.random.default_rng(8).standard_normal((60, 3))
-    a = p_conditioned_basis(M, 1.5, seed=4)
-    b = p_conditioned_basis(M, 1.5, seed=4)
-    assert np.array_equal(a.basis, b.basis)
-    assert a.alpha == b.alpha and a.beta == b.beta
-    c = p_conditioned_basis(M, 1.5, seed=5)
-    assert not np.array_equal(a.basis, c.basis)
-
-
-def test_l1_lewis_basis_ignores_seed_and_is_certified():
-    M = np.random.default_rng(8).standard_normal((60, 3))
-    a = p_conditioned_basis(M, 1.0, seed=4)
-    b = p_conditioned_basis(M, 1.0, seed=5)
+    a = p_conditioned_basis(M, p)
+    b = p_conditioned_basis(M, p)
     assert np.array_equal(a.basis, b.basis)
     assert np.array_equal(a.change_of_basis, b.change_of_basis)
     assert a.alpha == b.alpha and a.beta == b.beta
-    assert a.construction == L1_LEWIS
+    assert a.construction == LEWIS
     for seed in (4, 5):
         assert verify_conditioning(a, 10_000, seed).beta_empirical <= a.beta
 
@@ -148,22 +140,24 @@ def test_l1_lewis_basis_ignores_seed_and_is_certified():
     zero_row=st.booleans(),
     spike=st.sampled_from([1.0, 1e2, 1e4, 1e6]),
 )
-def test_l1_lewis_beta_is_a_certificate(m, extra_rows, data_seed, zero_row, spike):
-    # ||z||_2 <= beta ||Uz||_1 must hold for every z, not only on average:
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+def test_lewis_beta_is_a_certificate(p, m, extra_rows, data_seed, zero_row, spike):
+    # ||z||_q <= beta ||Uz||_p must hold for every z, not only on average:
     # probe random directions, the axes and every row direction of U, which
     # is where the bound is tight (one column, or one high-leverage row).
+    # For p <= 2 the proof bounds ||z||_2 >= ||z||_q, so that is checked.
     rng = np.random.default_rng(data_seed)
     M = rng.standard_normal((m + extra_rows, m))
     if zero_row:
         M[0] = 0.0
     M[-1] *= spike
-    basis = p_conditioned_basis(M, 1.0, seed=0)
+    basis = p_conditioned_basis(M, p)
     U = basis.basis
     assert np.all(np.isfinite(U)) and np.isfinite(basis.beta)
     Z = np.hstack([rng.standard_normal((m, 200)), np.eye(m), U.T])
     Z = Z[:, np.linalg.norm(Z, axis=0) > 0]
-    lhs = np.linalg.norm(Z, axis=0)
-    rhs = basis.beta * np.sum(np.abs(U @ Z), axis=0)
+    lhs = np.linalg.norm(Z, ord=min(dual_exponent(p), 2.0), axis=0)
+    rhs = basis.beta * np.linalg.norm(U @ Z, ord=p, axis=0)
     assert np.all(lhs <= rhs)
     assert verify_conditioning(basis, 2_000, data_seed).beta_empirical <= basis.beta
 
@@ -171,22 +165,23 @@ def test_l1_lewis_beta_is_a_certificate(m, extra_rows, data_seed, zero_row, spik
 def test_l1_lewis_zero_row_gives_finite_basis_and_scores():
     M = np.random.default_rng(13).standard_normal((50, 4))
     M[[0, 17]] = 0.0
-    basis = p_conditioned_basis(M, 1.0, seed=0)
+    basis = p_conditioned_basis(M, 1.0)
     assert np.all(np.isfinite(basis.basis)) and np.isfinite(basis.beta)
     assert np.all(basis.basis[[0, 17]] == 0.0)
     scores = rlad_sensitivity_bounds(basis, 0.5, M)
     assert np.all(np.isfinite(scores.values)) and np.isfinite(scores.total)
 
 
-def test_l1_lewis_basis_memory_is_a_few_copies_of_the_input():
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+def test_lewis_basis_memory_is_a_few_copies_of_the_input(p):
     M = np.random.default_rng(14).standard_normal((20_000, 31))
     tracemalloc.start()
     try:
-        basis = p_conditioned_basis(M, 1.0, 0)
+        basis = p_conditioned_basis(M, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert basis.construction == L1_LEWIS
+    assert basis.construction == LEWIS
     assert peak < 8 * M.nbytes
 
 
@@ -194,7 +189,8 @@ def test_import_and_l1_basis_load_no_scipy():
     code = (
         "import sys, numpy as np, regcoreset\n"
         "M = np.random.default_rng(0).standard_normal((50, 3))\n"
-        "regcoreset.p_conditioned_basis(M, 1.0, 0)\n"
+        "for p in (1.0, 1.5, 3.0):\n"
+        "    regcoreset.p_conditioned_basis(M, p)\n"
         "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(regcoreset.__file__)))
@@ -240,9 +236,10 @@ def test_verify_rejects_zero_trials():
         verify_conditioning(basis, 0, seed=0)
 
 
-def test_empirical_beta_deterministic():
-    U = np.random.default_rng(9).standard_normal((30, 3))
-    assert empirical_beta(U, 1.0, 200, seed=7) == empirical_beta(U, 1.0, 200, seed=7)
+def test_verify_conditioning_deterministic():
+    basis = p_conditioned_basis(np.random.default_rng(9).standard_normal((30, 3)), 1.0)
+    first = verify_conditioning(basis, 200, seed=7)
+    assert verify_conditioning(basis, 200, seed=7) == first
 
 
 def _ratios_out_of_place(U, p, Z):
@@ -275,15 +272,15 @@ def test_conditioning_ratios_match_out_of_place_formula(p):
     assert got[0] == 0.0
 
 
-def test_empirical_beta_holds_one_probe_buffer():
-    # 4000 x (2000 + 31 + 31) probes of 8 bytes are 63 MiB; a second buffer
-    # of the same size would push the peak past 96 MiB.
-    U, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4000, 31)))
+def test_verify_conditioning_holds_one_probe_buffer():
+    # 4000 x 2000 probe products of 8 bytes are 61 MiB; a second buffer of
+    # the same size would push the peak past 96 MiB.
+    basis = orthonormal_basis(np.random.default_rng(4).standard_normal((4000, 31)))
     tracemalloc.start()
     try:
-        beta = empirical_beta(U, 1.0, 2_000, seed=3)
+        report = verify_conditioning(basis, 2_000, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.isfinite(beta) and beta > 0
+    assert np.isfinite(report.beta_empirical) and report.beta_empirical > 0
     assert peak < 96 * 2**20

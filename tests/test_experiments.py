@@ -210,6 +210,26 @@ def test_relative_error_trials_share_no_state():
     assert [[cell[:3] for cell in row] for row in five.trials] == three.trials
 
 
+def test_identity_trials_share_one_factored_instance(monkeypatch):
+    # One n-row QR for the full data and one for the identity coreset, which
+    # every identity trial reuses; a fresh instance per trial made 1 + 6.
+    n_row_qrs = []
+    qr = np.linalg.qr
+
+    def counting_qr(M, *args, **kwargs):
+        n_row_qrs.append(np.shape(M)[0] == 2000)
+        return qr(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    config = _small_config(
+        n=2000, d=30, sample_sizes=(50, 100), objective_family="modified_lasso",
+        master_seed=2,
+    )
+    table = run_relative_error_experiment(config)
+    assert sum(n_row_qrs) == 2
+    assert all(row[1] < 1e-10 for row in table.cells)
+
+
 def test_relative_error_rejects_threads():
     with pytest.raises(ValueError, match="serial"):
         run_relative_error_experiment(_small_config(), threads=2)
