@@ -144,13 +144,13 @@ def _cmd_gen_ng(args) -> int:
 
 
 def _scores_for_cli(args, instance: RegressionInstance):
-    aprime = augment(instance)
     if args.scheme == "uniform":
         return uniform_scores(instance.n)
     if args.scheme == "leverage":
-        return ridge_leverage_scores(aprime, 0.0)
+        return ridge_leverage_scores(instance, 0.0)
     if args.scheme == "ridge-leverage":
-        return ridge_leverage_scores(aprime, args.lam)
+        return ridge_leverage_scores(instance, args.lam)
+    aprime = augment(instance)
     if args.scheme == "rlad":
         basis = p_conditioned_basis(aprime, 1.0)
         return rlad_sensitivity_bounds(basis, args.lam, aprime)

@@ -257,13 +257,13 @@ def _solve(family: str, instance: RegressionInstance, lam: float, coreset: bool 
     raise ValueError(f"unknown objective family {family!r}")
 
 
-def _scheme_scores(scheme, aprime, lam):
+def _scheme_scores(scheme, instance, lam, aprime, rlad_basis):
     if scheme == "uniform":
-        return uniform_scores(aprime.shape[0])
+        return uniform_scores(instance.n)
     if scheme == "ridge_leverage":
-        return ridge_leverage_scores(aprime, lam)
+        return ridge_leverage_scores(instance, lam)
     if scheme == "rlad_sensitivity":
-        return rlad_sensitivity_bounds(p_conditioned_basis(aprime, 1.0), lam, aprime)
+        return rlad_sensitivity_bounds(rlad_basis, lam, aprime)
     raise ValueError(f"scheme {scheme!r} has no score rule")
 
 
@@ -284,7 +284,6 @@ def run_relative_error_experiment(
     if threads != 1:
         raise ValueError(f"the harness is serial; threads must be 1, got {threads}")
     instance, _ = build_experiment_instance(config)
-    aprime = augment(instance)
     family = config.objective_family
     spec_for = {
         lam: ObjectiveSpec.for_family(family, lam) for lam in config.lambda_grid
@@ -299,12 +298,17 @@ def run_relative_error_experiment(
             )
         full_values[lam] = result.objective_value
 
+    # The RLAD basis depends on neither lambda nor a seed: one serves the grid.
+    aprime = rlad_basis = None
+    if "rlad_sensitivity" in config.schemes:
+        aprime = augment(instance)
+        rlad_basis = p_conditioned_basis(aprime, 1.0)
     scores = {}
     for si, scheme in enumerate(config.schemes):
         if scheme == "identity":
             continue
         for li, lam in enumerate(config.lambda_grid):
-            scores[(si, li)] = _scheme_scores(scheme, aprime, lam)
+            scores[(si, li)] = _scheme_scores(scheme, instance, lam, aprime, rlad_basis)
     # Every identity trial solves this one instance, factored at most once.
     # It is a separate object from `instance`, the full data.
     if "identity" in config.schemes:

@@ -30,7 +30,6 @@ from .linalg import (
     augment,
     check_full_column_rank,
     induced_norm_upper,
-    svd,
 )
 from .objective import ObjectiveSpec
 
@@ -183,25 +182,32 @@ def multiresponse_rlad_sensitivity_bounds(
 
 
 def ridge_leverage_scores(aprime, lam: float) -> SensitivityScores:
-    """tau_i = a'_i (A'^T A' + lam I)^-1 a'_i via the thin SVD.
+    """tau_i = a'_i (A'^T A' + lam I)^-1 a'_i from the (d+1)-row factor of A'.
 
-    Row i gets sum_j U_ij^2 * sigma_j^2 / (sigma_j^2 + lam); the total equals
-    the statistical dimension of A' at lam.  lam = 0 needs full column rank
-    and returns ordinary leverage scores.
+    aprime is the n x m matrix A' = [A  b], or a RegressionInstance standing
+    for it.  With A' = QT and the m x m SVD T = W diag(sigma) V^T, row i gets
+    sum_j (a'_i v_j)^2 / (sigma_j^2 + lam): one small SVD and one n x m
+    product, no n-row SVD.  An instance brings T from its cached
+    squared_loss_factor; a matrix is factored by the same QR call, so both
+    inputs give the same bits.  The total equals the statistical dimension
+    of A' at lam.  lam = 0 needs full column rank and returns ordinary
+    leverage scores, each accurate to about cond(A') * eps relative.
     """
-    aprime = as_matrix(aprime, "aprime")
+    instance = aprime if isinstance(aprime, RegressionInstance) else None
+    aprime = as_matrix(aprime, "aprime") if instance is None else augment(instance)
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if aprime.shape[0] < aprime.shape[1]:
         raise ShapeError("leverage scores need a tall matrix")
-    factors = svd(aprime)
-    sigma = factors.singular_values
+    T = (np.linalg.qr(aprime, mode="r") if instance is None
+         else np.column_stack(instance.squared_loss_factor))
+    _, sigma, vt = np.linalg.svd(T)
     if lam == 0:
         check_full_column_rank(sigma, "aprime")
-    shrink = sigma**2 / (sigma**2 + lam) if lam > 0 else np.ones_like(sigma)
-    values = (factors.left**2) @ shrink
+    values = aprime @ (vt.T / np.sqrt(sigma**2 + lam))
+    values **= 2
     return SensitivityScores(
-        values=values, scheme=SCHEME_RIDGE_LEVERAGE, lam=lam, p=2.0
+        values=values.sum(axis=1), scheme=SCHEME_RIDGE_LEVERAGE, lam=lam, p=2.0
     )
 
 

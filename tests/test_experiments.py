@@ -7,6 +7,7 @@ import statistics
 import numpy as np
 import pytest
 
+from regcoreset import experiments
 from regcoreset.errors import DegenerateSignalError, ParseError, SchemaError
 from regcoreset.experiments import (
     DataTable,
@@ -228,6 +229,53 @@ def test_identity_trials_share_one_factored_instance(monkeypatch):
     table = run_relative_error_experiment(config)
     assert sum(n_row_qrs) == 2
     assert all(row[1] < 1e-10 for row in table.cells)
+
+
+def test_l2_table_takes_no_n_row_svd(monkeypatch):
+    # Ridge leverage scores come from the instance's cached factor, the one
+    # n-row QR its solves share; the thin SVD of A' took one per lambda.
+    n = 2000
+    n_row_svds, n_row_qrs = [], []
+    svd, qr = np.linalg.svd, np.linalg.qr
+
+    def counting_svd(M, *args, **kwargs):
+        n_row_svds.append(np.shape(M)[0] == n)
+        return svd(M, *args, **kwargs)
+
+    def counting_qr(M, *args, **kwargs):
+        n_row_qrs.append(np.shape(M)[0] == n)
+        return qr(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    config = _small_config(
+        n=n, d=30, lambda_grid=(0.1, 0.5, 5.0), sample_sizes=(100,),
+        schemes=("ridge_leverage", "uniform"), objective_family="modified_lasso",
+        master_seed=2,
+    )
+    run_relative_error_experiment(config)
+    assert sum(n_row_svds) == 0
+    assert sum(n_row_qrs) == 1
+
+
+def test_rlad_basis_is_built_once_per_run(monkeypatch):
+    # p_conditioned_basis(A', 1) depends on neither lambda nor a seed, so one
+    # basis serves every lambda of the grid.
+    calls = []
+    basis = experiments.p_conditioned_basis
+
+    def counting_basis(*args, **kwargs):
+        calls.append(args[1:])
+        return basis(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "p_conditioned_basis", counting_basis)
+    config = _small_config(
+        n=400, d=30, lambda_grid=(0.1, 0.5, 1.0), sample_sizes=(60,),
+        schemes=("rlad_sensitivity", "uniform"), objective_family="rlad",
+        master_seed=2,
+    )
+    run_relative_error_experiment(config)
+    assert calls == [(1.0,)]
 
 
 def test_relative_error_rejects_threads():

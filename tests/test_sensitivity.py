@@ -15,6 +15,7 @@ from regcoreset.errors import (
     SchemeMismatchError,
     ShapeError,
 )
+from regcoreset.experiments import ExperimentConfig, build_experiment_instance
 from regcoreset.linalg import (
     RegressionInstance,
     augment,
@@ -227,12 +228,47 @@ def test_ridge_leverage_total_is_statistical_dimension():
 
 
 def test_ridge_leverage_errors():
-    with pytest.raises(RankDeficiencyError):
-        ridge_leverage_scores(np.ones((5, 2)), 0.0)
-    with pytest.raises(ShapeError):
-        ridge_leverage_scores(np.ones((2, 5)), 1.0)
-    with pytest.raises(ValueError):
-        ridge_leverage_scores(np.eye(2), -0.5)
+    # Each matrix M is passed as itself and as the instance whose A' it is.
+    def both(M):
+        return M, RegressionInstance(M[:, :-1], M[:, -1])
+
+    for aprime in both(np.ones((5, 2))):
+        with pytest.raises(RankDeficiencyError):
+            ridge_leverage_scores(aprime, 0.0)
+    for aprime in both(np.ones((2, 5))):
+        with pytest.raises(ShapeError):
+            ridge_leverage_scores(aprime, 1.0)
+    for aprime in both(np.eye(2)):
+        with pytest.raises(ValueError):
+            ridge_leverage_scores(aprime, -0.5)
+
+
+def _thin_svd_ridge_leverage(aprime, lam):
+    left, sigma, _ = np.linalg.svd(aprime, full_matrices=False)
+    return (left**2) @ (sigma**2 / (sigma**2 + lam))
+
+
+def _oracle_instances():
+    for seed, (n, d) in enumerate(((60, 2), (300, 7), (1000, 19), (500, 30))):
+        rng = np.random.default_rng(400 + seed)
+        M = rng.standard_normal((n, d + 1)) * 10 ** rng.uniform(0, 3, (n, 1))
+        yield RegressionInstance(M[:, :-1], M[:, -1])
+    config = ExperimentConfig(n=2000, d=30, lambda_grid=(0.5,), sample_sizes=(30,),
+                              master_seed=2)
+    yield build_experiment_instance(config)[0]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 5.0])
+def test_ridge_leverage_matches_thin_svd_oracle(lam):
+    # The NG instance has cond(A') ~ 6.6e5, so at lam = 0 the factor path
+    # agrees with the n-row SVD to about 2e-10 there and 5e-13 elsewhere.
+    for inst in _oracle_instances():
+        aprime = augment(inst)
+        from_instance = ridge_leverage_scores(inst, lam).values
+        np.testing.assert_allclose(
+            from_instance, _thin_svd_ridge_leverage(aprime, lam), rtol=1e-9, atol=0
+        )
+        assert np.array_equal(from_instance, ridge_leverage_scores(aprime, lam).values)
 
 
 def test_brute_force_single_row_is_one():
