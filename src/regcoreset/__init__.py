@@ -53,12 +53,10 @@ from .experiments import (
 )
 from .linalg import (
     RegressionInstance,
-    SvdResult,
     augment,
     entrywise_p_norm,
     induced_norm_upper,
     statistical_dimension,
-    svd,
 )
 from .lowerbound import (
     CounterexampleWitness,

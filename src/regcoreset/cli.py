@@ -47,7 +47,6 @@ from .solvers import (
     solve_rlad,
     solve_ridge,
 )
-from .linalg import induced_norm_upper
 
 _FAMILIES = ["ridge", "lasso", "modified_lasso", "rlad", "lp_lp"]
 
@@ -152,13 +151,9 @@ def _scores_for_cli(args, instance: RegressionInstance):
         return ridge_leverage_scores(instance, args.lam)
     aprime = augment(instance)
     if args.scheme == "rlad":
-        basis = p_conditioned_basis(aprime, 1.0)
-        return rlad_sensitivity_bounds(basis, args.lam, aprime)
+        return rlad_sensitivity_bounds(p_conditioned_basis(aprime, 1.0), args.lam)
     if args.scheme == "lp-lp":
-        basis = p_conditioned_basis(aprime, args.p)
-        return lp_lp_sensitivity_bounds(
-            basis, args.lam, induced_norm_upper(aprime, args.p), instance.n
-        )
+        return lp_lp_sensitivity_bounds(p_conditioned_basis(aprime, args.p), args.lam)
     raise ValueError(f"unknown scheme {args.scheme!r}")
 
 

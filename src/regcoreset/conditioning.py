@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningFailureError, RankDeficiencyError, ShapeError
-from .linalg import as_matrix, entrywise_p_norm
+from .linalg import as_matrix, entrywise_p_norm, induced_norm_upper
 
 _ALPHA_MARGIN = 1.01
 # Lewis fixed-point steps, the same at every p.  Measured at p = 1 on NG
@@ -36,12 +36,16 @@ LEWIS = "lewis"
 
 @dataclass(frozen=True)
 class WellConditionedBasis:
+    """U and R with A' = U R, the certified pair (alpha, beta) at p, and the
+    upper bound induced_norm_upper(A', p) on the operator norm of A'."""
+
     basis: np.ndarray
     change_of_basis: np.ndarray
     alpha: float
     beta: float
     p: float
     construction: str
+    induced_norm: float
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ def _conditioning_ratios(U: np.ndarray, p: float, Z: np.ndarray) -> np.ndarray:
 
 
 def orthonormal_basis(Aprime) -> WellConditionedBasis:
-    """QR-based basis for p = 2: alpha = sqrt(m), beta = 1.
+    """QR-based basis for p = 2: alpha = sqrt(m), beta = 1, exact ||A'||_2.
 
     For A' with orthonormal columns this returns U = A' and V = I exactly
     because of the positive-diagonal convention on R.
@@ -132,6 +136,7 @@ def orthonormal_basis(Aprime) -> WellConditionedBasis:
         beta=1.0,
         p=2.0,
         construction=ORTHONORMAL,
+        induced_norm=induced_norm_upper(Aprime, 2),
     )
 
 
@@ -175,7 +180,8 @@ def p_conditioned_basis(Aprime, p: float) -> WellConditionedBasis:
     R comes from _LEWIS_STEPS steps of the l_p Lewis-weight iteration, and
     beta = c * (1 + 1e-9) is certified at every p: c bounds ||z||_q / ||Uz||_p
     for every z (see _lewis_basis).  Nothing is sampled, so equal inputs give
-    equal bits.  alpha is the measured entrywise norm of U times a 1% slack.
+    equal bits.  alpha is the measured entrywise norm of U times a 1% slack,
+    and induced_norm is induced_norm_upper(A', p).
     """
     Aprime = as_matrix(Aprime, "Aprime")
     n, m = Aprime.shape
@@ -183,6 +189,8 @@ def p_conditioned_basis(Aprime, p: float) -> WellConditionedBasis:
         raise ShapeError(f"need a tall matrix, got {n}x{m}")
     if not 1 <= p <= 4:
         raise ValueError(f"p must lie in [1, 4], got {p}")
+    # Before the Lewis steps, so its |A'| temporaries do not add to their peak.
+    induced_norm = induced_norm_upper(Aprime, p)
     U, R, c = _lewis_basis(Aprime, p)
     alpha = entrywise_p_norm(U, p) * _ALPHA_MARGIN
     residual = np.linalg.norm(U @ R - Aprime) / max(np.linalg.norm(Aprime), 1e-30)
@@ -195,6 +203,7 @@ def p_conditioned_basis(Aprime, p: float) -> WellConditionedBasis:
         beta=c * _BETA_ROUNDING,
         p=float(p),
         construction=LEWIS,
+        induced_norm=induced_norm,
     )
 
 

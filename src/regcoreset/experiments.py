@@ -257,13 +257,13 @@ def _solve(family: str, instance: RegressionInstance, lam: float, coreset: bool 
     raise ValueError(f"unknown objective family {family!r}")
 
 
-def _scheme_scores(scheme, instance, lam, aprime, rlad_basis):
+def _scheme_scores(scheme, instance, lam, rlad_basis):
     if scheme == "uniform":
         return uniform_scores(instance.n)
     if scheme == "ridge_leverage":
         return ridge_leverage_scores(instance, lam)
     if scheme == "rlad_sensitivity":
-        return rlad_sensitivity_bounds(rlad_basis, lam, aprime)
+        return rlad_sensitivity_bounds(rlad_basis, lam)
     raise ValueError(f"scheme {scheme!r} has no score rule")
 
 
@@ -299,16 +299,15 @@ def run_relative_error_experiment(
         full_values[lam] = result.objective_value
 
     # The RLAD basis depends on neither lambda nor a seed: one serves the grid.
-    aprime = rlad_basis = None
+    rlad_basis = None
     if "rlad_sensitivity" in config.schemes:
-        aprime = augment(instance)
-        rlad_basis = p_conditioned_basis(aprime, 1.0)
+        rlad_basis = p_conditioned_basis(augment(instance), 1.0)
     scores = {}
     for si, scheme in enumerate(config.schemes):
         if scheme == "identity":
             continue
         for li, lam in enumerate(config.lambda_grid):
-            scores[(si, li)] = _scheme_scores(scheme, instance, lam, aprime, rlad_basis)
+            scores[(si, li)] = _scheme_scores(scheme, instance, lam, rlad_basis)
     # Every identity trial solves this one instance, factored at most once.
     # It is a separate object from `instance`, the full data.
     if "identity" in config.schemes:

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: norms, SVD, statistical dimension, augmentation."""
+"""Dense matrix primitives: norms, statistical dimension, augmentation."""
 
 from __future__ import annotations
 
@@ -87,25 +87,6 @@ def augment(instance: RegressionInstance) -> np.ndarray:
     return np.hstack([instance.design, instance.response[:, None]])
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD factors: left (n x d), singular_values (d,), right (d x d)."""
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-
-
-def svd(M) -> SvdResult:
-    """Thin SVD of a tall matrix, singular values in descending order."""
-    M = as_matrix(M)
-    n, d = M.shape
-    if n < d:
-        raise ShapeError(f"svd expects a tall matrix, got {n}x{d}")
-    left, sigma, vt = np.linalg.svd(M, full_matrices=False)
-    return SvdResult(left=left, singular_values=sigma, right=vt.T)
-
-
 def entrywise_p_norm(M, p: float) -> float:
     """(sum_ij |M_ij|^p)^(1/p) for p >= 1."""
     M = as_matrix(M)
@@ -124,15 +105,17 @@ def induced_norm_upper(M, p: float) -> float:
     M = as_matrix(M)
     if p != np.inf and (not np.isfinite(p) or p < 1):
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    col_sum = float(np.max(np.sum(np.abs(M), axis=0)))
-    row_sum = float(np.max(np.sum(np.abs(M), axis=1)))
+
+    def max_abs_sum(axis: int) -> float:  # axis 0: column sums, 1: row sums
+        return float(np.max(np.sum(np.abs(M), axis=axis)))
+
     if p == 1:
-        return col_sum
+        return max_abs_sum(0)
     if p == np.inf:
-        return row_sum
+        return max_abs_sum(1)
     if p == 2:
         return float(np.linalg.svd(M, compute_uv=False)[0])
-    return float(col_sum ** (1.0 / p) * row_sum ** (1.0 - 1.0 / p))
+    return float(max_abs_sum(0) ** (1.0 / p) * max_abs_sum(1) ** (1.0 - 1.0 / p))
 
 
 def statistical_dimension(singular_values, lam: float) -> float:

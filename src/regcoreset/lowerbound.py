@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coreset import Coreset
-from .errors import TheoremInapplicableError
+from .errors import ShapeError, TheoremInapplicableError
 from .linalg import as_matrix
 from .objective import ObjectiveSpec
+from .solvers import _objective
 
 OVERSHOOT = "overshoot"
 UNDERSHOOT = "undershoot"
@@ -81,6 +82,11 @@ def find_unregularized_violation(
     candidate is preserved within epsilon.
     """
     aprime = as_matrix(aprime, "aprime")
+    if coreset.rows.shape[1] != aprime.shape[1]:
+        raise ShapeError(
+            f"coreset rows have {coreset.rows.shape[1]} columns but aprime has "
+            f"{aprime.shape[1]}"
+        )
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if probes < 1:
@@ -190,13 +196,7 @@ def demonstrate_violation(
         epsilon, probe.epsilon_prime, spec.lam, norm_loss, norm_pen, spec.r, spec.s
     )
     y = alpha * x
-    full = np.linalg.norm(aprime @ y, ord=spec.p) ** spec.r + spec.lam * (
-        np.linalg.norm(y, ord=spec.q) ** spec.s
-    )
-    approx = np.linalg.norm(coreset.rows @ y, ord=spec.p) ** spec.r + spec.lam * (
-        np.linalg.norm(y, ord=spec.q) ** spec.s
-    )
-    ratio = float(approx / full)
+    ratio = _objective(coreset.rows @ y, y, spec) / _objective(aprime @ y, y, spec)
     band = (epsilon + probe.epsilon_prime) / 2.0
     if probe.direction == OVERSHOOT and not ratio > 1.0 + band:
         raise AssertionError(

@@ -8,7 +8,8 @@ objective ||A'x'||_p^p + lam*||x'||_p^p (x' ranging over all queries) is
 
 Analytic upper bounds come from a well-conditioned basis:
 s_i <= beta^p * ||u_i||_p^p / (1 + lam / ||A'||_p^p) + 1/n, where ||A'||_p is
-the induced p-norm (an upper bound on it only loosens the score).
+the induced p-norm the basis records (an upper bound on it only loosens the
+score).
 """
 
 from __future__ import annotations
@@ -102,27 +103,22 @@ def uniform_scores(n: int) -> SensitivityScores:
 
 
 def lp_lp_sensitivity_bounds(
-    basis: WellConditionedBasis,
-    lam: float,
-    induced_p_norm_aprime: float,
-    n: int,
+    basis: WellConditionedBasis, lam: float
 ) -> SensitivityScores:
     """beta^p * ||u_i||_p^p / (1 + lam/||A'||_p^p) + 1/n per row.
 
-    With lam = 0 this is exactly beta^p * ||u_i||_p^p + 1/n.  The total is
-    certified against (alpha*beta)^p / (1 + lam/||A'||_p^p) + 1.
+    Everything but lam comes from the basis: U, beta, p and its induced_norm,
+    the bound on ||A'||_p of the matrix it was built from.  With lam = 0 this
+    is exactly beta^p * ||u_i||_p^p + 1/n.  The total is certified against
+    (alpha*beta)^p / (1 + lam/||A'||_p^p) + 1.
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if induced_p_norm_aprime <= 0:
-        raise ValueError("induced norm must be positive")
     U = basis.basis
-    if U.shape[0] != n:
-        raise ShapeError(f"basis has {U.shape[0]} rows, expected {n}")
     p = basis.p
-    denom = 1.0 + lam / induced_p_norm_aprime**p
+    denom = 1.0 + lam / basis.induced_norm**p
     row_mass = np.sum(np.abs(U) ** p, axis=1)
-    values = (basis.beta**p) * row_mass / denom + 1.0 / n
+    values = (basis.beta**p) * row_mass / denom + 1.0 / U.shape[0]
     total = float(values.sum())
     cap = (basis.alpha * basis.beta) ** p / denom + 1.0
     if total > cap * (1 + 1e-9):
@@ -135,20 +131,17 @@ def lp_lp_sensitivity_bounds(
         scheme=SCHEME_LP_LP,
         lam=lam,
         p=p,
-        info={"induced_norm": float(induced_p_norm_aprime)},
+        info={"induced_norm": basis.induced_norm},
     )
 
 
 def rlad_sensitivity_bounds(
-    basis: WellConditionedBasis, lam: float, aprime
+    basis: WellConditionedBasis, lam: float
 ) -> SensitivityScores:
-    """p = 1 specialization using the exact induced 1-norm (max column sum)."""
+    """The l_p bound on a p = 1 basis, whose induced norm is the max column sum."""
     if basis.p != 1:
         raise SchemeMismatchError(f"basis was built for p={basis.p}, need p=1")
-    aprime = as_matrix(aprime, "aprime")
-    norm1 = induced_norm_upper(aprime, 1)
-    scores = lp_lp_sensitivity_bounds(basis, lam, norm1, aprime.shape[0])
-    return replace(scores, scheme=SCHEME_RLAD)
+    return replace(lp_lp_sensitivity_bounds(basis, lam), scheme=SCHEME_RLAD)
 
 
 def multiresponse_rlad_sensitivity_bounds(
@@ -156,10 +149,10 @@ def multiresponse_rlad_sensitivity_bounds(
 ) -> SensitivityScores:
     """Bounds for the k-response absolute-deviations objective.
 
-    ahat is the stacked matrix [A  -B].  The denominator uses the induced
-    1-norm of the design block A alone; the norm of the full stacked matrix is
-    recorded alongside it since the two differ whenever B carries the largest
-    column.
+    ahat is the stacked matrix [A  -B] the basis was built from.  The
+    denominator uses the induced 1-norm of the design block A alone; the
+    basis's norm of the full stacked matrix is recorded alongside it since the
+    two differ whenever B carries the largest column.
     """
     if basis.p != 1:
         raise SchemeMismatchError(f"basis was built for p={basis.p}, need p=1")
@@ -169,39 +162,38 @@ def multiresponse_rlad_sensitivity_bounds(
     n, cols = ahat.shape
     if cols <= k:
         raise ShapeError(f"ahat has {cols} columns, need more than k={k}")
+    if basis.basis.shape[0] != n:
+        raise ShapeError(f"basis has {basis.basis.shape[0]} rows, ahat has {n}")
     design_norm = induced_norm_upper(ahat[:, : cols - k], 1)
-    scores = lp_lp_sensitivity_bounds(basis, lam, design_norm, n)
+    scores = lp_lp_sensitivity_bounds(replace(basis, induced_norm=design_norm), lam)
     return replace(
         scores,
         scheme=SCHEME_MULTIRESPONSE,
         info={
             "induced_norm_design": design_norm,
-            "induced_norm_stacked": induced_norm_upper(ahat, 1),
+            "induced_norm_stacked": basis.induced_norm,
         },
     )
 
 
-def ridge_leverage_scores(aprime, lam: float) -> SensitivityScores:
+def ridge_leverage_scores(
+    instance: RegressionInstance, lam: float
+) -> SensitivityScores:
     """tau_i = a'_i (A'^T A' + lam I)^-1 a'_i from the (d+1)-row factor of A'.
 
-    aprime is the n x m matrix A' = [A  b], or a RegressionInstance standing
-    for it.  With A' = QT and the m x m SVD T = W diag(sigma) V^T, row i gets
-    sum_j (a'_i v_j)^2 / (sigma_j^2 + lam): one small SVD and one n x m
-    product, no n-row SVD.  An instance brings T from its cached
-    squared_loss_factor; a matrix is factored by the same QR call, so both
-    inputs give the same bits.  The total equals the statistical dimension
-    of A' at lam.  lam = 0 needs full column rank and returns ordinary
-    leverage scores, each accurate to about cond(A') * eps relative.
+    A' = [A  b] is the instance's augmented matrix.  With A' = QT, T its
+    cached squared_loss_factor, and the m x m SVD T = W diag(sigma) V^T, row i
+    gets sum_j (a'_i v_j)^2 / (sigma_j^2 + lam): one small SVD and one n x m
+    product, no n-row SVD.  The total equals the statistical dimension of A'
+    at lam.  lam = 0 needs full column rank and returns ordinary leverage
+    scores, each accurate to about cond(A') * eps relative.
     """
-    instance = aprime if isinstance(aprime, RegressionInstance) else None
-    aprime = as_matrix(aprime, "aprime") if instance is None else augment(instance)
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
+    aprime = augment(instance)
     if aprime.shape[0] < aprime.shape[1]:
         raise ShapeError("leverage scores need a tall matrix")
-    T = (np.linalg.qr(aprime, mode="r") if instance is None
-         else np.column_stack(instance.squared_loss_factor))
-    _, sigma, vt = np.linalg.svd(T)
+    _, sigma, vt = np.linalg.svd(np.column_stack(instance.squared_loss_factor))
     if lam == 0:
         check_full_column_rank(sigma, "aprime")
     values = aprime @ (vt.T / np.sqrt(sigma**2 + lam))

@@ -29,7 +29,6 @@ from regcoreset.experiments import (
 from regcoreset.linalg import (
     RegressionInstance,
     augment,
-    induced_norm_upper,
     statistical_dimension,
 )
 from regcoreset.lowerbound import UNDERSHOOT, demonstrate_violation
@@ -203,13 +202,11 @@ def test_05_sensitivity_bounds_dominate_grid_oracle():
         p, lam = combos[i % 6]
         if p == 1.0:
             basis = p_conditioned_basis(aprime, 1.0)
-            bound = rlad_sensitivity_bounds(basis, lam, aprime)
+            bound = rlad_sensitivity_bounds(basis, lam)
             spec = ObjectiveSpec.rlad(lam)
         else:
             basis = orthonormal_basis(aprime)
-            bound = lp_lp_sensitivity_bounds(
-                basis, lam, induced_norm_upper(aprime, 2), n
-            )
+            bound = lp_lp_sensitivity_bounds(basis, lam)
             spec = ObjectiveSpec.ridge(lam)
         oracle = brute_force_sensitivity(inst, spec)
         if not np.all(oracle.values <= bound.values * (1 + 1e-9)):
@@ -230,7 +227,9 @@ def test_06_ridge_leverage_total_is_statistical_dimension():
         matrix = rng.standard_normal((40 + 3 * i, 4))
         spectrum = np.linalg.svd(matrix, compute_uv=False)
         for lam in (0.0, 0.7, 13.0):
-            scores = ridge_leverage_scores(matrix, lam)
+            scores = ridge_leverage_scores(
+                RegressionInstance(matrix[:, :-1], matrix[:, -1]), lam
+            )
             worst = max(worst, abs(scores.total - statistical_dimension(spectrum, lam)))
     ok = worst <= 1e-8
     _verdict(
@@ -247,7 +246,7 @@ def test_07_accuracy_transfers_to_l1_penalty_queries():
         design = rng.standard_normal((500, 5))
         response = design @ rng.standard_normal(5) + 0.1 * rng.standard_normal(500)
         inst = RegressionInstance(design, response)
-        scores = ridge_leverage_scores(augment(inst), 0.5)
+        scores = ridge_leverage_scores(inst, 0.5)
         core = build_coreset(inst, scores, 150, 2.0, seed=i)
         qrng = np.random.default_rng(7100 + i)
         queries = qrng.standard_normal((500, 5)) * qrng.uniform(
@@ -354,7 +353,7 @@ def test_10_coreset_optimum_is_near_optimal_on_full_data():
         lam = 0.8
         family = "ridge" if i % 2 == 0 else "modified_lasso"
         spec = ObjectiveSpec.for_family(family, lam)
-        scores = ridge_leverage_scores(augment(inst), lam)
+        scores = ridge_leverage_scores(inst, lam)
         core = build_coreset(inst, scores, 150, 2.0, seed=100 + i)
         if family == "ridge":
             x_full = solve_ridge(inst, lam).solution

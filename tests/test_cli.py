@@ -14,7 +14,7 @@ from regcoreset.cli import dispatch
 from regcoreset.conditioning import p_conditioned_basis
 from regcoreset.coreset import build_coreset, identity_coreset
 from regcoreset.experiments import ExperimentConfig, build_experiment_instance
-from regcoreset.linalg import RegressionInstance, augment, induced_norm_upper
+from regcoreset.linalg import RegressionInstance, augment
 from regcoreset.sensitivity import (
     lp_lp_sensitivity_bounds,
     ridge_leverage_scores,
@@ -285,6 +285,19 @@ def test_lowerbound_matching_exponents(tmp_path, capsys):
     assert doc["status"] == "theorem-inapplicable"
 
 
+def test_lowerbound_instance_without_coreset_names_both_widths(tmp_path, capsys):
+    # The default coreset has two columns; this instance's A' has four.
+    rng = np.random.default_rng(0)
+    inst = _write_instance(
+        tmp_path / "i.json", rng.standard_normal((10, 3)).tolist(),
+        rng.standard_normal(10).tolist(),
+    )
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"instance": inst}))
+    assert dispatch(["lowerbound", "--spec", str(spec_path)]) == 1
+    assert "2 columns but aprime has 4" in capsys.readouterr().err
+
+
 def test_invalid_inputs_exit_one(tmp_path, capsys):
     inst = _write_instance(tmp_path / "i.json", [[1.0]], [2.0])
     assert dispatch(["frobnicate"]) == 1
@@ -361,21 +374,17 @@ def _read_instance(path):
 # scheme -> (extra flags, effective p, score builder on (instance, A'))
 _SCHEMES = {
     "uniform": ([], 2.0, lambda inst, ap: uniform_scores(inst.n)),
-    "leverage": ([], 2.0, lambda inst, ap: ridge_leverage_scores(ap, 0.0)),
-    "ridge-leverage": ([], 2.0, lambda inst, ap: ridge_leverage_scores(ap, 0.5)),
+    "leverage": ([], 2.0, lambda inst, ap: ridge_leverage_scores(inst, 0.0)),
+    "ridge-leverage": ([], 2.0, lambda inst, ap: ridge_leverage_scores(inst, 0.5)),
     "lp-lp": (
         ["--p", "1.5"],
         1.5,
-        lambda inst, ap: lp_lp_sensitivity_bounds(
-            p_conditioned_basis(ap, 1.5), 0.5, induced_norm_upper(ap, 1.5), inst.n
-        ),
+        lambda inst, ap: lp_lp_sensitivity_bounds(p_conditioned_basis(ap, 1.5), 0.5),
     ),
     "rlad": (
         [],
         1.0,
-        lambda inst, ap: rlad_sensitivity_bounds(
-            p_conditioned_basis(ap, 1.0), 0.5, ap
-        ),
+        lambda inst, ap: rlad_sensitivity_bounds(p_conditioned_basis(ap, 1.0), 0.5),
     ),
 }
 

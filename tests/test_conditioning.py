@@ -26,7 +26,7 @@ from regcoreset.errors import (
     RankDeficiencyError,
     ShapeError,
 )
-from regcoreset.linalg import entrywise_p_norm
+from regcoreset.linalg import entrywise_p_norm, induced_norm_upper
 from regcoreset.sensitivity import rlad_sensitivity_bounds
 
 
@@ -168,7 +168,7 @@ def test_l1_lewis_zero_row_gives_finite_basis_and_scores():
     basis = p_conditioned_basis(M, 1.0)
     assert np.all(np.isfinite(basis.basis)) and np.isfinite(basis.beta)
     assert np.all(basis.basis[[0, 17]] == 0.0)
-    scores = rlad_sensitivity_bounds(basis, 0.5, M)
+    scores = rlad_sensitivity_bounds(basis, 0.5)
     assert np.all(np.isfinite(scores.values)) and np.isfinite(scores.total)
 
 
@@ -225,6 +225,7 @@ def test_verify_flags_corrupted_beta():
         beta=0.5,
         p=2.0,
         construction=ORTHONORMAL,
+        induced_norm=good.induced_norm,
     )
     assert verify_conditioning(bad, 500, seed=3).violation
     assert not verify_conditioning(good, 500, seed=3).violation
@@ -284,3 +285,10 @@ def test_verify_conditioning_holds_one_probe_buffer():
         tracemalloc.stop()
     assert np.isfinite(report.beta_empirical) and report.beta_empirical > 0
     assert peak < 96 * 2**20
+
+
+def test_basis_records_the_induced_norm_of_its_matrix():
+    M = np.random.default_rng(15).standard_normal((200, 5))
+    for p in (1.0, 1.5, 2.0, 3.0):
+        assert p_conditioned_basis(M, p).induced_norm == induced_norm_upper(M, p)
+    assert orthonormal_basis(M).induced_norm == induced_norm_upper(M, 2)

@@ -59,7 +59,7 @@ def test_uniform_full_size_coreset_has_unit_weights():
 
 def test_build_coreset_deterministic():
     inst = _instance(2, 50, 3)
-    scores = ridge_leverage_scores(augment(inst), 0.5)
+    scores = ridge_leverage_scores(inst, 0.5)
     a = build_coreset(inst, scores, 10, 2.0, seed=7)
     b = build_coreset(inst, scores, 10, 2.0, seed=7)
     assert np.array_equal(a.rows, b.rows)
@@ -71,7 +71,7 @@ def test_build_coreset_deterministic():
 
 def test_weight_formula_exactness():
     inst = _instance(3, 80, 4)
-    scores = ridge_leverage_scores(augment(inst), 1.0)
+    scores = ridge_leverage_scores(inst, 1.0)
     core = build_coreset(inst, scores, 25, 2.0, seed=0)
     recovered = core.weights * 25 * scores.values[core.source_indices]
     assert np.allclose(recovered, scores.total, rtol=1e-12)
@@ -85,7 +85,7 @@ def test_coreset_loss_is_unbiased():
     rng = np.random.default_rng(77)
     inst = RegressionInstance(rng.standard_normal((500, 3)), rng.standard_normal(500))
     aprime = augment(inst)
-    scores = ridge_leverage_scores(aprime, 0.5)
+    scores = ridge_leverage_scores(inst, 0.5)
     xs = rng.standard_normal((5, 4))
     full = np.array([np.sum(np.abs(aprime @ x)) for x in xs])
     estimates = np.zeros((2000, 5))
@@ -179,7 +179,7 @@ def test_ridge_leverage_coreset_passes_verification():
     rng = np.random.default_rng(123)
     inst = RegressionInstance(rng.standard_normal((2000, 10)), rng.standard_normal(2000))
     lam = 1.0
-    scores = ridge_leverage_scores(augment(inst), lam)
+    scores = ridge_leverage_scores(inst, lam)
     r = sample_size(scores.total, 0.5, 0.1, inst.d + 1)
     queries = list(rng.standard_normal((200, 10)))
     passed = sum(
@@ -242,7 +242,7 @@ def test_transfer_check_lambda_zero_match():
 def test_transfer_check_p2_to_q1():
     # Queries that pass under the l2^2 penalty must pass under the l1^2 one.
     inst = _instance(12, 300, 5)
-    scores = ridge_leverage_scores(augment(inst), 0.5)
+    scores = ridge_leverage_scores(inst, 0.5)
     core = build_coreset(inst, scores, 120, 2.0, seed=5)
     queries = list(np.random.default_rng(5).standard_normal((500, 5)))
     rep_p, rep_q = transfer_check(inst, core, 2.0, 1.0, 0.5, queries, 0.5)

@@ -21,6 +21,7 @@ from regcoreset.experiments import (
     run_relative_error_experiment,
     run_sparsity_experiment,
 )
+from regcoreset.linalg import RegressionInstance
 from regcoreset.sensitivity import ridge_leverage_scores
 
 
@@ -83,7 +84,7 @@ def test_ng_matrix_block_structure():
 
 def test_ng_matrix_identity_rows_carry_all_leverage():
     A = generate_ng_matrix(300, 6, 0.00065, seed=1)
-    scores = ridge_leverage_scores(A, 0.0)
+    scores = ridge_leverage_scores(RegressionInstance(A[:, :-1], A[:, -1]), 0.0)
     assert np.all(scores.values[-3:] > 0.999)
 
 
@@ -260,15 +261,24 @@ def test_l2_table_takes_no_n_row_svd(monkeypatch):
 
 def test_rlad_basis_is_built_once_per_run(monkeypatch):
     # p_conditioned_basis(A', 1) depends on neither lambda nor a seed, so one
-    # basis serves every lambda of the grid.
-    calls = []
+    # basis serves every lambda of the grid, and the ||A'||_1 it records
+    # serves every bound.
+    from regcoreset import conditioning, linalg, sensitivity
+
+    calls, norms = [], []
     basis = experiments.p_conditioned_basis
 
     def counting_basis(*args, **kwargs):
         calls.append(args[1:])
         return basis(*args, **kwargs)
 
+    def counting_norm(M, p):
+        norms.append(p)
+        return linalg.induced_norm_upper(M, p)
+
     monkeypatch.setattr(experiments, "p_conditioned_basis", counting_basis)
+    for module in (conditioning, sensitivity):
+        monkeypatch.setattr(module, "induced_norm_upper", counting_norm, raising=False)
     config = _small_config(
         n=400, d=30, lambda_grid=(0.1, 0.5, 1.0), sample_sizes=(60,),
         schemes=("rlad_sensitivity", "uniform"), objective_family="rlad",
@@ -276,6 +286,7 @@ def test_rlad_basis_is_built_once_per_run(monkeypatch):
     )
     run_relative_error_experiment(config)
     assert calls == [(1.0,)]
+    assert norms == [1.0]
 
 
 def test_relative_error_rejects_threads():

@@ -13,7 +13,6 @@ from regcoreset.linalg import (
     entrywise_p_norm,
     induced_norm_upper,
     statistical_dimension,
-    svd,
 )
 
 
@@ -128,27 +127,6 @@ def test_induced_norm_dominates_random_directions():
         x /= np.linalg.norm(x, ord=p, axis=1, keepdims=True)
         attained = np.max(np.linalg.norm(x @ M.T, ord=p, axis=1))
         assert attained <= bound * (1 + 1e-12)
-
-
-def test_svd_diagonal_and_orthogonality():
-    res = svd(np.diag([3.0, 2.0]))
-    assert np.allclose(res.singular_values, [3.0, 2.0])
-    q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((7, 3)))
-    assert np.allclose(svd(q).singular_values, 1.0, atol=1e-10)
-
-
-def test_svd_reconstructs():
-    M = np.random.default_rng(3).standard_normal((10, 3))
-    res = svd(M)
-    rebuilt = res.left @ np.diag(res.singular_values) @ res.right.T
-    assert np.linalg.norm(rebuilt - M) / np.linalg.norm(M) < 1e-8
-    gram = res.left.T @ res.left
-    assert np.linalg.norm(gram - np.eye(3)) < 1e-8
-
-
-def test_svd_requires_tall_input():
-    with pytest.raises(ShapeError):
-        svd(np.ones((2, 3)))
 
 
 def test_statistical_dimension_hand_values():

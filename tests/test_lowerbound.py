@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from regcoreset.coreset import Coreset, identity_coreset
-from regcoreset.errors import TheoremInapplicableError
+from regcoreset.errors import ShapeError, TheoremInapplicableError
 from regcoreset.linalg import RegressionInstance
 from regcoreset.lowerbound import (
     OVERSHOOT,
@@ -58,6 +58,21 @@ def test_violation_search_is_deterministic():
     b = find_unregularized_violation(np.eye(2), core, 2.0, 2.0, 0.1, seed=5)
     assert np.array_equal(a.x, b.x)
     assert a.epsilon_prime == b.epsilon_prime
+
+
+def test_coreset_width_must_match_aprime():
+    core = Coreset(
+        rows=np.array([[1.0, 0.0, 0.0]]),
+        weights=np.array([1.0]),
+        source_indices=np.array([0]),
+        seed=0,
+        scheme="uniform",
+        n_source=2,
+    )
+    with pytest.raises(ShapeError, match="3 columns but aprime has 2"):
+        find_unregularized_violation(np.eye(2), core, 2.0, 2.0, 0.1)
+    with pytest.raises(ShapeError):
+        demonstrate_violation(np.eye(2), core, MISMATCHED, 0.1)
 
 
 def test_violation_search_validation():

@@ -19,9 +19,7 @@ from regcoreset.experiments import ExperimentConfig, build_experiment_instance
 from regcoreset.linalg import (
     RegressionInstance,
     augment,
-    induced_norm_upper,
     statistical_dimension,
-    svd,
 )
 from regcoreset.objective import ObjectiveSpec
 from regcoreset.sensitivity import (
@@ -68,7 +66,7 @@ def test_lp_lp_hand_example():
     # beta = 1, induced 2-norm 1, lam = 1 halves the row mass term.
     aprime = np.vstack([np.eye(2), np.zeros((1, 2))])
     basis = orthonormal_basis(aprime)
-    scores = lp_lp_sensitivity_bounds(basis, 1.0, 1.0, 3)
+    scores = lp_lp_sensitivity_bounds(basis, 1.0)
     assert scores.values == pytest.approx([5 / 6, 5 / 6, 1 / 3], abs=1e-12)
     assert scores.total == pytest.approx(2.0, abs=1e-12)
     assert scores.info["induced_norm"] == 1.0
@@ -77,7 +75,7 @@ def test_lp_lp_hand_example():
 def test_lp_lp_lambda_zero_collapses_denominator():
     M = np.random.default_rng(1).standard_normal((40, 3))
     basis = p_conditioned_basis(M, 1.0)
-    scores = lp_lp_sensitivity_bounds(basis, 0.0, induced_norm_upper(M, 1), 40)
+    scores = lp_lp_sensitivity_bounds(basis, 0.0)
     expected = basis.beta * np.sum(np.abs(basis.basis), axis=1) + 1.0 / 40
     assert np.allclose(scores.values, expected, rtol=1e-12)
 
@@ -85,18 +83,16 @@ def test_lp_lp_lambda_zero_collapses_denominator():
 def test_lp_lp_doubling_lambda_shrinks_first_term():
     M = np.random.default_rng(2).standard_normal((30, 3))
     basis = orthonormal_basis(M)
-    norm2 = induced_norm_upper(M, 2)
-    lo = lp_lp_sensitivity_bounds(basis, 0.5, norm2, 30)
-    hi = lp_lp_sensitivity_bounds(basis, 1.0, norm2, 30)
+    lo = lp_lp_sensitivity_bounds(basis, 0.5)
+    hi = lp_lp_sensitivity_bounds(basis, 1.0)
     assert np.all((hi.values - 1 / 30) < (lo.values - 1 / 30))
 
 
 def test_lp_lp_total_monotone_in_lambda():
     M = np.random.default_rng(3).standard_normal((50, 4))
     basis = orthonormal_basis(M)
-    norm2 = induced_norm_upper(M, 2)
     totals = [
-        lp_lp_sensitivity_bounds(basis, lam, norm2, 50).total
+        lp_lp_sensitivity_bounds(basis, lam).total
         for lam in (0.0, 0.5, 5.0, 50.0)
     ]
     assert all(b < a for a, b in zip(totals, totals[1:]))
@@ -105,11 +101,7 @@ def test_lp_lp_total_monotone_in_lambda():
 def test_lp_lp_rejects_bad_inputs():
     basis = orthonormal_basis(np.eye(3))
     with pytest.raises(ValueError):
-        lp_lp_sensitivity_bounds(basis, -0.1, 1.0, 3)
-    with pytest.raises(ValueError):
-        lp_lp_sensitivity_bounds(basis, 0.0, 0.0, 3)
-    with pytest.raises(ShapeError):
-        lp_lp_sensitivity_bounds(basis, 0.0, 1.0, 5)
+        lp_lp_sensitivity_bounds(basis, -0.1)
 
 
 def test_lp_lp_broken_alpha_certificate_is_caught():
@@ -123,16 +115,17 @@ def test_lp_lp_broken_alpha_certificate_is_caught():
         beta=good.beta,
         p=2.0,
         construction=good.construction,
+        induced_norm=1.0,
     )
     with pytest.raises(InvalidScoresError):
-        lp_lp_sensitivity_bounds(forged, 0.0, 1.0, 20)
+        lp_lp_sensitivity_bounds(forged, 0.0)
 
 
 def test_rlad_specializes_lp_lp():
     M = np.random.default_rng(10).standard_normal((100, 3))
     basis = p_conditioned_basis(M, 1.0)
-    via_rlad = rlad_sensitivity_bounds(basis, 0.7, M)
-    via_lp = lp_lp_sensitivity_bounds(basis, 0.7, induced_norm_upper(M, 1), 100)
+    via_rlad = rlad_sensitivity_bounds(basis, 0.7)
+    via_lp = lp_lp_sensitivity_bounds(basis, 0.7)
     assert np.array_equal(via_rlad.values, via_lp.values)
     assert via_rlad.scheme == "rlad_bound"
     assert via_rlad.total <= basis.alpha * basis.beta + 1
@@ -141,7 +134,7 @@ def test_rlad_specializes_lp_lp():
 def test_rlad_requires_p1_basis():
     M = np.random.default_rng(11).standard_normal((20, 2))
     with pytest.raises(SchemeMismatchError):
-        rlad_sensitivity_bounds(orthonormal_basis(M), 0.0, M)
+        rlad_sensitivity_bounds(orthonormal_basis(M), 0.0)
 
 
 def test_multiresponse_matches_single_response_formula():
@@ -155,7 +148,7 @@ def test_multiresponse_matches_single_response_formula():
     aprime = np.column_stack([A, b])
     basis = p_conditioned_basis(ahat, 1.0)
     mr = multiresponse_rlad_sensitivity_bounds(basis, 0.3, ahat, 1)
-    rl = rlad_sensitivity_bounds(basis, 0.3, aprime)
+    rl = rlad_sensitivity_bounds(basis, 0.3)
     assert np.allclose(mr.values, rl.values, rtol=1e-12)
     # flipping the response sign leaves the basis row norms untouched
     flipped = p_conditioned_basis(aprime, 1.0)
@@ -178,6 +171,8 @@ def test_multiresponse_lambda_zero_and_validation():
         multiresponse_rlad_sensitivity_bounds(basis, 0.0, ahat, 0)
     with pytest.raises(ShapeError):
         multiresponse_rlad_sensitivity_bounds(basis, 0.0, ahat, 4)
+    with pytest.raises(ShapeError):
+        multiresponse_rlad_sensitivity_bounds(basis, 0.0, ahat[:20], 2)
 
 
 def test_multiresponse_dominates_grid_oracle():
@@ -206,15 +201,20 @@ def test_multiresponse_dominates_grid_oracle():
     assert np.all(oracle <= bound.values * (1 + 1e-9))
 
 
+def _instance_of(aprime):
+    """The instance whose augmented matrix [A  b] is aprime."""
+    return RegressionInstance(aprime[:, :-1], aprime[:, -1])
+
+
 def test_ridge_leverage_identity_example():
-    scores = ridge_leverage_scores(np.eye(3), 1.0)
+    scores = ridge_leverage_scores(_instance_of(np.eye(3)), 1.0)
     assert scores.values == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
     assert scores.total == pytest.approx(1.5, abs=1e-12)
 
 
 def test_ridge_leverage_lambda_zero_is_projector_trace():
     M = np.random.default_rng(20).standard_normal((50, 4))
-    scores = ridge_leverage_scores(M, 0.0)
+    scores = ridge_leverage_scores(_instance_of(M), 0.0)
     assert scores.total == pytest.approx(4.0, abs=1e-8)
     assert np.all(scores.values > 0) and np.all(scores.values <= 1 + 1e-12)
 
@@ -222,25 +222,18 @@ def test_ridge_leverage_lambda_zero_is_projector_trace():
 def test_ridge_leverage_total_is_statistical_dimension():
     for seed, lam in ((1, 0.3), (2, 2.0), (3, 17.0)):
         M = np.random.default_rng(seed).standard_normal((50, 4))
-        scores = ridge_leverage_scores(M, lam)
-        sd = statistical_dimension(svd(M).singular_values, lam)
+        scores = ridge_leverage_scores(_instance_of(M), lam)
+        sd = statistical_dimension(np.linalg.svd(M, compute_uv=False), lam)
         assert scores.total == pytest.approx(sd, abs=1e-8)
 
 
 def test_ridge_leverage_errors():
-    # Each matrix M is passed as itself and as the instance whose A' it is.
-    def both(M):
-        return M, RegressionInstance(M[:, :-1], M[:, -1])
-
-    for aprime in both(np.ones((5, 2))):
-        with pytest.raises(RankDeficiencyError):
-            ridge_leverage_scores(aprime, 0.0)
-    for aprime in both(np.ones((2, 5))):
-        with pytest.raises(ShapeError):
-            ridge_leverage_scores(aprime, 1.0)
-    for aprime in both(np.eye(2)):
-        with pytest.raises(ValueError):
-            ridge_leverage_scores(aprime, -0.5)
+    with pytest.raises(RankDeficiencyError):
+        ridge_leverage_scores(_instance_of(np.ones((5, 2))), 0.0)
+    with pytest.raises(ShapeError):
+        ridge_leverage_scores(_instance_of(np.ones((2, 5))), 1.0)
+    with pytest.raises(ValueError):
+        ridge_leverage_scores(_instance_of(np.eye(2)), -0.5)
 
 
 def _thin_svd_ridge_leverage(aprime, lam):
@@ -263,12 +256,12 @@ def test_ridge_leverage_matches_thin_svd_oracle(lam):
     # The NG instance has cond(A') ~ 6.6e5, so at lam = 0 the factor path
     # agrees with the n-row SVD to about 2e-10 there and 5e-13 elsewhere.
     for inst in _oracle_instances():
-        aprime = augment(inst)
-        from_instance = ridge_leverage_scores(inst, lam).values
         np.testing.assert_allclose(
-            from_instance, _thin_svd_ridge_leverage(aprime, lam), rtol=1e-9, atol=0
+            ridge_leverage_scores(inst, lam).values,
+            _thin_svd_ridge_leverage(augment(inst), lam),
+            rtol=1e-9,
+            atol=0,
         )
-        assert np.array_equal(from_instance, ridge_leverage_scores(aprime, lam).values)
 
 
 def test_brute_force_single_row_is_one():
@@ -299,7 +292,7 @@ def test_brute_force_below_rlad_bound_rowwise():
     inst = RegressionInstance(rng.standard_normal((8, 1)), rng.standard_normal(8))
     aprime = augment(inst)
     basis = p_conditioned_basis(aprime, 1.0)
-    bound = rlad_sensitivity_bounds(basis, 0.5, aprime)
+    bound = rlad_sensitivity_bounds(basis, 0.5)
     oracle = brute_force_sensitivity(inst, ObjectiveSpec.rlad(0.5))
     assert np.all(oracle.values <= bound.values * (1 + 1e-9))
 
@@ -316,18 +309,13 @@ def test_oracle_domination_sweep(p, lam):
         aprime = augment(inst)
         if p == 1.0:
             basis = p_conditioned_basis(aprime, 1.0)
-            bound = rlad_sensitivity_bounds(basis, lam, aprime)
+            bound = rlad_sensitivity_bounds(basis, lam)
             spec = ObjectiveSpec.rlad(lam)
         elif p == 2.0:
-            basis = orthonormal_basis(aprime)
-            bound = lp_lp_sensitivity_bounds(
-                basis, lam, induced_norm_upper(aprime, 2), 30
-            )
+            bound = lp_lp_sensitivity_bounds(orthonormal_basis(aprime), lam)
             spec = ObjectiveSpec.ridge(lam)
         else:
-            bound = lp_lp_sensitivity_bounds(
-                p_conditioned_basis(aprime, p), lam, induced_norm_upper(aprime, p), 30
-            )
+            bound = lp_lp_sensitivity_bounds(p_conditioned_basis(aprime, p), lam)
             spec = ObjectiveSpec.lp_lp(p, lam)
         oracle = brute_force_sensitivity(inst, spec)
         assert np.all(oracle.values <= bound.values * (1 + 1e-9))
@@ -356,10 +344,9 @@ def test_score_bounds_dominate_grid_oracle(d, data_seed, lam, max_row_scale, zer
     inst = RegressionInstance(A, b)
     aprime = augment(inst)
     bounds = [
-        (rlad_sensitivity_bounds(p_conditioned_basis(aprime, 1.0), lam, aprime),
+        (rlad_sensitivity_bounds(p_conditioned_basis(aprime, 1.0), lam),
          ObjectiveSpec.rlad(lam)),
-        (lp_lp_sensitivity_bounds(orthonormal_basis(aprime), lam,
-                                  induced_norm_upper(aprime, 2), n),
+        (lp_lp_sensitivity_bounds(orthonormal_basis(aprime), lam),
          ObjectiveSpec.ridge(lam)),
     ]
     # At lam = 0 a zero row has sensitivity 0, which SensitivityScores cannot
