@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen-ng, coreset, solve, verify, experiment, lowerbound,
-sparsity.  Every JSON output embeds the effective configuration, so a result
-can always be traced back to the seeds and flags that produced it.  Exit
-codes: 0 success, 1 invalid input, 2 internal error.
+sparsity.  Settings arrive as flags, and every JSON output embeds them with
+the values worked out from them (such as the effective loss exponent), so a
+result can always be traced back to the seeds and flags that produced it.
+Exit codes: 0 success, 1 invalid input, 2 internal error.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from .errors import TheoremInapplicableError
 from .experiments import (
     _TAG_DATA,
     _TAG_NOISE,
+    _TAG_QUERIES,
     _TAG_XTRUE,
     ExperimentConfig,
-    build_experiment_instance,
+    canonical_json,
     emit_report,
     generate_ng_matrix,
     generate_response,
@@ -81,10 +83,6 @@ def _write(doc: str, out: str | None) -> None:
         print(doc)
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _load_instance(path: str) -> RegressionInstance:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -114,14 +112,14 @@ def _load_coreset(path: str, spec: ObjectiveSpec | None = None) -> Coreset:
     return Coreset.from_dict(doc.get("coreset", doc))
 
 
-def _config(args) -> dict:
-    """The command's effective arguments, echoed into the document it writes."""
+def _config(args, **worked_out) -> dict:
+    """The command's arguments, with the values it worked out from them."""
     config = {
         "lambda" if key == "lam" else key: value
         for key, value in vars(args).items()
         if key not in ("command", "func", "out")
     }
-    config["subcommand"] = args.command
+    config.update(worked_out, subcommand=args.command)
     return config
 
 
@@ -138,7 +136,7 @@ def _cmd_gen_ng(args) -> int:
         "response": b.tolist(),
         "x_true": x_true.tolist(),
     }
-    _write(_dump(payload), args.out)
+    _write(canonical_json(payload), args.out)
     return 0
 
 
@@ -171,14 +169,10 @@ def _cmd_coreset(args) -> int:
         r = sample_size(
             scores.total, args.epsilon, args.delta, instance.d + 1, args.constant
         )
-    if args.scheme == "rlad":
-        args.p = 1.0  # echo the effective p
-    core = build_coreset(instance, scores, r, args.p, args.seed)
-    payload = {
-        "config": _config(args),
-        "coreset": json.loads(core.to_json()),
-    }
-    _write(_dump(payload), args.out)
+    p = 1.0 if args.scheme == "rlad" else args.p
+    core = build_coreset(instance, scores, r, p, args.seed)
+    payload = {"config": _config(args, p=p), "coreset": core.to_dict()}
+    _write(canonical_json(payload), args.out)
     return 0
 
 
@@ -186,10 +180,10 @@ def _cmd_solve(args) -> int:
     _check_lambda(args.lam)
     if (args.instance is None) == (args.coreset is None):
         raise ValueError("give exactly one of --instance or --coreset")
+    spec = ObjectiveSpec.for_family(args.family, args.lam, p=args.p)
     if args.instance is not None:
         instance = _load_instance(args.instance)
     else:
-        spec = ObjectiveSpec.for_family(args.family, args.lam, p=args.p)
         instance = _load_coreset(args.coreset, spec).as_instance()
     if args.family == "ridge":
         result = solve_ridge(instance, args.lam)
@@ -208,14 +202,14 @@ def _cmd_solve(args) -> int:
     else:
         raise ValueError(f"unknown family {args.family!r}")
     payload = {
-        "config": _config(args),
+        "config": _config(args, p=spec.p),
         "solution": result.solution.tolist(),
         "objective_value": result.objective_value,
         "iterations": result.iterations,
         "converged": result.converged,
         "optimality_residual": result.optimality_residual,
     }
-    _write(_dump(payload), args.out)
+    _write(canonical_json(payload), args.out)
     return 0
 
 
@@ -227,11 +221,11 @@ def _cmd_verify(args) -> int:
     instance = _load_instance(args.instance)
     spec = ObjectiveSpec.for_family(args.family, args.lam, p=args.p)
     core = _load_coreset(args.coreset, spec)
-    rng = np.random.default_rng(mix_seed(args.seed, 0x06))
+    rng = np.random.default_rng(mix_seed(args.seed, _TAG_QUERIES))
     queries = list(rng.standard_normal((args.queries, instance.d)))
     report = verify_coreset(instance, core, spec, queries, args.epsilon)
     payload = {
-        "config": _config(args),
+        "config": _config(args, p=spec.p),
         "max_relative_deviation": report.max_relative_deviation,
         "worst_query_index": report.worst_query_index,
         "queries_checked": report.queries_checked,
@@ -239,7 +233,7 @@ def _cmd_verify(args) -> int:
         "epsilon": report.epsilon,
         "passed": report.passed,
     }
-    _write(_dump(payload), args.out)
+    _write(canonical_json(payload), args.out)
     return 0
 
 
@@ -278,37 +272,21 @@ def _cmd_table(args) -> int:
     if args.format == "csv":
         _write(emit_report(table, "csv"), args.out)
     else:
-        payload = {
-            "config": config.to_dict(),
-            "table": json.loads(emit_report(table, "json")),
-        }
-        _write(_dump(payload), args.out)
+        payload = {"config": config.to_dict(), "table": table.to_dict()}
+        _write(canonical_json(payload), args.out)
     return 0
 
 
 def _cmd_lowerbound(args) -> int:
-    doc = {}
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    exponents = {
-        "p": float(doc.get("p", 2.0)),
-        "q": float(doc.get("q", 1.0)),
-        "r": float(doc.get("r", 2.0)),
-        "s": float(doc.get("s", 1.0)),
-    }
-    lam = _check_lambda(float(doc.get("lambda", 1.0)))
-    epsilon = _check_epsilon(float(doc.get("epsilon", 0.1)))
-    seed = int(doc.get("seed", 0))
-    probes = int(doc.get("probes", 200))
-    spec = ObjectiveSpec(**exponents, lam=lam, family="custom")
-    if "instance" in doc:
-        instance = _load_instance(doc["instance"])
-        aprime = augment(instance)
+    _check_lambda(args.lam)
+    _check_epsilon(args.epsilon)
+    spec = ObjectiveSpec(args.p, args.q, args.r, args.s, lam=args.lam, family="custom")
+    if args.instance is not None:
+        aprime = augment(_load_instance(args.instance))
     else:
         aprime = np.eye(2)  # canonical demonstration matrix
-    if "coreset" in doc:
-        core = _load_coreset(doc["coreset"])
+    if args.coreset is not None:
+        core = _load_coreset(args.coreset)
     else:
         core = Coreset(
             rows=np.array([[1.0, 0.0]]),
@@ -318,26 +296,19 @@ def _cmd_lowerbound(args) -> int:
             scheme="identity",
             n_source=2,
         )
-    config = {"subcommand": "lowerbound", **exponents, "lambda": lam,
-              "epsilon": epsilon, "seed": seed, "probes": probes}
+    payload = {"config": _config(args)}
     try:
         witness = demonstrate_violation(
-            aprime, core, spec, epsilon, seed=seed, probes=probes
+            aprime, core, spec, args.epsilon, seed=args.seed, probes=args.probes
         )
     except TheoremInapplicableError as exc:
-        payload = {
-            "config": config,
-            "status": "theorem-inapplicable",
-            "detail": str(exc),
-        }
-        _write(_dump(payload), args.out)
-        return 0
-    payload = {
-        "config": config,
-        "status": "violation" if witness is not None else "no-violation",
-        "witness": json.loads(witness.to_json()) if witness is not None else None,
-    }
-    _write(_dump(payload), args.out)
+        payload.update(status="theorem-inapplicable", detail=str(exc))
+    else:
+        payload.update(
+            status="violation" if witness is not None else "no-violation",
+            witness=witness.to_dict() if witness is not None else None,
+        )
+    _write(canonical_json(payload), args.out)
     return 0
 
 
@@ -418,7 +389,16 @@ def build_parser() -> _Parser:
         e.set_defaults(func=_cmd_table, runner=runner)
 
     lb = sub.add_parser("lowerbound", help="emit a mismatched-exponent witness")
-    lb.add_argument("--spec", default=None)
+    lb.add_argument("--instance", default=None)
+    lb.add_argument("--coreset", default=None)
+    lb.add_argument("--p", type=float, default=2.0)
+    lb.add_argument("--q", type=float, default=1.0)
+    lb.add_argument("--r", type=float, default=2.0)
+    lb.add_argument("--s", type=float, default=1.0)
+    lb.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    lb.add_argument("--epsilon", type=float, default=0.1)
+    lb.add_argument("--seed", type=int, default=0)
+    lb.add_argument("--probes", type=int, default=200)
     lb.add_argument("--out", default=None)
     lb.set_defaults(func=_cmd_lowerbound)
     return parser

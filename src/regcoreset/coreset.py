@@ -8,7 +8,6 @@ itself an ordinary regression instance for any p-norm loss.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -56,7 +55,10 @@ def sample_size(
 
 @dataclass(frozen=True)
 class Coreset:
-    """Pre-scaled augmented rows with sampling provenance."""
+    """Pre-scaled augmented rows with sampling provenance.
+
+    to_dict gives the document the CLI writes; from_dict reads it back.
+    """
 
     rows: np.ndarray
     weights: np.ndarray
@@ -89,8 +91,9 @@ class Coreset:
         """View the scaled rows as a plain (possibly short) instance."""
         return RegressionInstance(self.rows[:, :-1], self.rows[:, -1])
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """The document form: plain lists, rows flattened row-major."""
+        return {
             "n": self.n_source,
             "d": self.d,
             "r": self.r,
@@ -100,15 +103,10 @@ class Coreset:
             "weights": self.weights.tolist(),
             "rows": self.rows.ravel().tolist(),
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Coreset":
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Coreset":
-        """Inverse of to_json after parsing; rows arrive flattened row-major."""
+        """Inverse of to_dict, also after a JSON round trip."""
         if not isinstance(doc, dict):
             raise ValueError("a coreset document must be a JSON object")
         required = {"n", "d", "r", "seed", "scheme", "source_indices", "weights", "rows"}

@@ -27,7 +27,7 @@ class DimensionTooLargeError(ValueError):
 
 
 class InvalidScoresError(ValueError):
-    """Sampling scores are unusable (non-positive entries, wrong length)."""
+    """Sampling scores are unusable (negative entries, a zero total, wrong length)."""
 
 
 class TheoremInapplicableError(ValueError):

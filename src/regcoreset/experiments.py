@@ -43,9 +43,15 @@ _TAG_DATA = 0x01
 _TAG_XTRUE = 0x02
 _TAG_NOISE = 0x03
 _TAG_CELL = 0x05
+_TAG_QUERIES = 0x06
 
 EXPERIMENT_SCHEMES = ("uniform", "ridge_leverage", "rlad_sensitivity", "identity")
 _FAMILIES = ("modified_lasso", "rlad", "ridge", "lasso")
+
+
+def canonical_json(doc) -> str:
+    """The one text form of every document: compact, with sorted keys."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,7 @@ class ExperimentConfig:
         return cls(**doc)
 
     def digest(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -118,11 +123,27 @@ class TrialReport:
 
 @dataclass
 class DataTable:
+    """Per-cell values, their per-trial values and the config digest.
+
+    to_dict is the document emit_report encodes and parse_report reads.
+    """
+
     row_labels: list
     col_labels: list
     cells: list
     trials: list
     config_digest: str = ""
+
+    def to_dict(self) -> dict:
+        return {
+            "rows": list(self.row_labels),
+            "cols": list(self.col_labels),
+            "cells": [[float(c) for c in row] for row in self.cells],
+            "trials": [
+                [[float(v) for v in cell] for cell in row] for row in self.trials
+            ],
+            "config_digest": self.config_digest,
+        }
 
 
 def generate_ng_matrix(n: int, d: int, alpha: float, seed: int) -> np.ndarray:
@@ -399,16 +420,7 @@ def run_sparsity_experiment(config: ExperimentConfig) -> DataTable:
 def emit_report(table: DataTable, format: str = "json") -> str:
     """Serialize a table: canonical JSON, or CSV with 6-significant-digit cells."""
     if format == "json":
-        doc = {
-            "rows": list(table.row_labels),
-            "cols": list(table.col_labels),
-            "cells": [[float(c) for c in row] for row in table.cells],
-            "trials": [
-                [[float(v) for v in cell] for cell in row] for row in table.trials
-            ],
-            "config_digest": table.config_digest,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return canonical_json(table.to_dict())
     if format == "csv":
         lines = ["label," + ",".join(str(c) for c in table.col_labels)]
         for label, row in zip(table.row_labels, table.cells):

@@ -10,7 +10,6 @@ and produces a checkable witness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,8 @@ class ViolationProbe:
 
 @dataclass(frozen=True)
 class CounterexampleWitness:
+    """A certified violation y = alpha * base_x; to_dict is its document."""
+
     base_x: np.ndarray
     alpha: float
     y: np.ndarray
@@ -45,8 +46,8 @@ class CounterexampleWitness:
     direction: str
     regularized_ratio: float
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "base_x": self.base_x.tolist(),
             "alpha": self.alpha,
             "y": self.y.tolist(),
@@ -55,7 +56,6 @@ class CounterexampleWitness:
             "direction": self.direction,
             "regularized_ratio": self.regularized_ratio,
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _loss_ratio(aprime, coreset_rows, x, p, r):

@@ -53,10 +53,12 @@ SCHEMES = (
 
 @dataclass(frozen=True)
 class SensitivityScores:
-    """Positive per-row scores with their sum and provenance tags.
+    """Non-negative per-row scores with their positive sum and provenance tags.
 
-    info carries scheme-specific extras such as the induced norms that went
-    into a bound.
+    A zero score belongs to a row that no query can weigh, such as an all-zero
+    row of [A  b]: it is never sampled, and its loss is 0 for every x.  info
+    carries scheme-specific extras such as the induced norms that went into a
+    bound.
     """
 
     values: np.ndarray
@@ -70,8 +72,8 @@ class SensitivityScores:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise InvalidScoresError("values must be a non-empty 1-D array")
-        if not np.all(np.isfinite(values)) or np.any(values <= 0):
-            raise InvalidScoresError("scores must be finite and positive")
+        if not np.all(np.isfinite(values)) or np.any(values < 0) or not values.any():
+            raise InvalidScoresError("scores must be finite, >= 0 and not all zero")
         if self.scheme not in SCHEMES:
             raise InvalidScoresError(f"unknown scheme {self.scheme!r}")
         if self.lam < 0:

@@ -190,7 +190,7 @@ def test_verify_identity_coreset(tmp_path, capsys):
     )
     core = identity_coreset(RegressionInstance(design, response))
     core_path = tmp_path / "core.json"
-    core_path.write_text(core.to_json())
+    core_path.write_text(json.dumps(core.to_dict()))
     code = dispatch(
         [
             "verify",
@@ -277,10 +277,8 @@ def test_lowerbound_default_emits_witness(capsys):
     assert doc["witness"]["regularized_ratio"] < 1.0
 
 
-def test_lowerbound_matching_exponents(tmp_path, capsys):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"r": 2.0, "s": 2.0}))
-    assert dispatch(["lowerbound", "--spec", str(spec_path)]) == 0
+def test_lowerbound_matching_exponents(capsys):
+    assert dispatch(["lowerbound", "--r", "2", "--s", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "theorem-inapplicable"
 
@@ -292,10 +290,29 @@ def test_lowerbound_instance_without_coreset_names_both_widths(tmp_path, capsys)
         tmp_path / "i.json", rng.standard_normal((10, 3)).tolist(),
         rng.standard_normal(10).tolist(),
     )
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"instance": inst}))
-    assert dispatch(["lowerbound", "--spec", str(spec_path)]) == 1
+    assert dispatch(["lowerbound", "--instance", inst]) == 1
     assert "2 columns but aprime has 4" in capsys.readouterr().err
+
+
+def test_lowerbound_echoes_every_setting(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    design = rng.standard_normal((12, 2))
+    inst = _write_instance(
+        tmp_path / "i.json", design.tolist(), rng.standard_normal(12).tolist()
+    )
+    core = tmp_path / "c.json"
+    assert dispatch(["coreset", "--instance", inst, "--scheme", "uniform",
+                     "--size", "3", "--out", str(core)]) == 0
+    assert dispatch(["lowerbound", "--instance", inst, "--coreset", str(core),
+                     "--lambda", "5", "--probes", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == {
+        "subcommand": "lowerbound", "instance": inst, "coreset": str(core),
+        "p": 2.0, "q": 1.0, "r": 2.0, "s": 1.0, "lambda": 5.0, "epsilon": 0.1,
+        "seed": 0, "probes": 50,
+    }
+    # A misspelled setting is an error, not a silent default.
+    assert dispatch(["lowerbound", "--lamda", "5"]) == 1
+    assert "--lamda" in capsys.readouterr().err
 
 
 def test_invalid_inputs_exit_one(tmp_path, capsys):
@@ -307,9 +324,8 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
         == 1
     )
     core_path = tmp_path / "c.json"
-    core_path.write_text(
-        identity_coreset(RegressionInstance(np.eye(2), np.ones(2))).to_json()
-    )
+    core = identity_coreset(RegressionInstance(np.eye(2), np.ones(2)))
+    core_path.write_text(json.dumps(core.to_dict()))
     inst2 = _write_instance(tmp_path / "i2.json", np.eye(2).tolist(), [1.0, 1.0])
     assert (
         dispatch(
@@ -400,7 +416,7 @@ def test_coreset_document_matches_library(ng_path, tmp_path, scheme):
     instance = _read_instance(ng_path)
     scores = scores_for(instance, augment(instance))
     expected = build_coreset(instance, scores, 30, p, 9)
-    assert doc["coreset"] == json.loads(expected.to_json())
+    assert doc["coreset"] == expected.to_dict()
     assert doc["config"] == {
         "subcommand": "coreset", "instance": ng_path, "scheme": scheme,
         "lambda": 0.5, "size": 30, "epsilon": None, "delta": 0.1,
@@ -415,7 +431,7 @@ _FAMILY_SOLVES = {
     "modified_lasso": (
         [], 2.0, lambda inst: solve_modified_lasso(inst, 0.5, tol=1e-7, max_iter=20000)
     ),
-    "rlad": ([], 2.0, lambda inst: solve_rlad(inst, 0.5, tol=1e-7, max_iter=20000)),
+    "rlad": ([], 1.0, lambda inst: solve_rlad(inst, 0.5, tol=1e-7, max_iter=20000)),
     "lp_lp": (
         ["--p", "1.5"], 1.5, lambda inst: solve_lp_lp(inst, 1.5, 0.5, tol=1e-7, max_iter=20000)
     ),

@@ -130,7 +130,7 @@ def test_coreset_dataclass_validation():
 def test_coreset_json_roundtrip():
     inst = _instance(5, 30, 3)
     core = build_coreset(inst, uniform_scores(30), 8, 2.0, seed=11)
-    clone = Coreset.from_json(core.to_json())
+    clone = Coreset.from_dict(json.loads(json.dumps(core.to_dict())))
     assert np.array_equal(clone.rows, core.rows)
     assert np.array_equal(clone.weights, core.weights)
     assert np.array_equal(clone.source_indices, core.source_indices)
@@ -141,13 +141,13 @@ def test_coreset_json_roundtrip():
 
 
 def test_coreset_json_validation():
-    doc = json.loads(identity_coreset(_instance(6, 3, 2)).to_json())
+    doc = identity_coreset(_instance(6, 3, 2)).to_dict()
     incomplete = {k: v for k, v in doc.items() if k != "weights"}
     with pytest.raises(ValueError):
-        Coreset.from_json(json.dumps(incomplete))
+        Coreset.from_dict(incomplete)
     doc["rows"] = doc["rows"][:-1]
     with pytest.raises(ShapeError):
-        Coreset.from_json(json.dumps(doc))
+        Coreset.from_dict(doc)
 
 
 def test_identity_coreset_has_zero_deviation():

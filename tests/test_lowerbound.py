@@ -169,7 +169,7 @@ def test_matching_exponents_are_rejected():
 
 def test_witness_serializes():
     witness = demonstrate_violation(np.eye(2), _single_row_coreset(), MISMATCHED, 0.1)
-    doc = json.loads(witness.to_json())
+    doc = json.loads(json.dumps(witness.to_dict()))
     assert set(doc) == {
         "base_x",
         "alpha",

@@ -4,10 +4,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regcoreset.conditioning import orthonormal_basis, p_conditioned_basis
+from regcoreset.coreset import build_coreset
 from regcoreset.errors import (
     DimensionTooLargeError,
     InvalidScoresError,
@@ -37,7 +38,7 @@ def test_scores_validation():
     with pytest.raises(InvalidScoresError):
         SensitivityScores(values=np.array([0.5, -0.1]), scheme="uniform", lam=0.0, p=2.0)
     with pytest.raises(InvalidScoresError):
-        SensitivityScores(values=np.array([0.5, 0.0]), scheme="uniform", lam=0.0, p=2.0)
+        SensitivityScores(values=np.array([0.0, 0.0]), scheme="uniform", lam=0.0, p=2.0)
     with pytest.raises(InvalidScoresError):
         SensitivityScores(values=np.array([[0.5]]), scheme="uniform", lam=0.0, p=2.0)
     with pytest.raises(InvalidScoresError):
@@ -264,6 +265,20 @@ def test_ridge_leverage_matches_thin_svd_oracle(lam):
         )
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_all_zero_row_scores_zero_and_is_never_sampled(lam):
+    # An all-zero row of [A  b] has loss 0 for every x, so no query weighs it.
+    rng = np.random.default_rng(5)
+    A, b = rng.standard_normal((50, 3)), rng.standard_normal(50)
+    A[7], b[7] = 0.0, 0.0
+    inst = RegressionInstance(A, b)
+    scores = ridge_leverage_scores(inst, lam)
+    assert scores.values[7] == 0.0
+    assert np.all(np.delete(scores.values, 7) > 0)
+    core = build_coreset(inst, scores, 500, 2.0, seed=3)
+    assert 7 not in core.source_indices
+
+
 def test_brute_force_single_row_is_one():
     inst = RegressionInstance(np.array([[2.0]]), np.array([3.0]))
     scores = brute_force_sensitivity(inst, ObjectiveSpec.rlad(0.5))
@@ -329,6 +344,8 @@ def test_oracle_domination_sweep(p, lam):
     max_row_scale=st.sampled_from([1.0, 1e2, 1e4]),
     zero_row=st.booleans(),
 )
+@example(d=1, data_seed=0, lam=0.0, max_row_scale=1.0, zero_row=True)
+@example(d=2, data_seed=0, lam=0.0, max_row_scale=1e4, zero_row=True)
 def test_score_bounds_dominate_grid_oracle(d, data_seed, lam, max_row_scale, zero_row):
     # Every row's bound must sit above the grid oracle, which never exceeds
     # the true sensitivity, also with badly scaled rows and an empty row.
@@ -349,9 +366,6 @@ def test_score_bounds_dominate_grid_oracle(d, data_seed, lam, max_row_scale, zer
         (lp_lp_sensitivity_bounds(orthonormal_basis(aprime), lam),
          ObjectiveSpec.ridge(lam)),
     ]
-    # At lam = 0 a zero row has sensitivity 0, which SensitivityScores cannot
-    # hold, and the other rows' sensitivities do not depend on it.
-    kept = slice(1, None) if zero_row and lam == 0 else slice(None)
     for bound, spec in bounds:
-        oracle = brute_force_sensitivity(RegressionInstance(A[kept], b[kept]), spec)
-        assert np.all(oracle.values <= bound.values[kept] * (1 + 1e-9))
+        oracle = brute_force_sensitivity(inst, spec)
+        assert np.all(oracle.values <= bound.values * (1 + 1e-9))
