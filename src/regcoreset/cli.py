@@ -286,7 +286,7 @@ def _cmd_lowerbound(args) -> int:
     else:
         aprime = np.eye(2)  # canonical demonstration matrix
     if args.coreset is not None:
-        core = _load_coreset(args.coreset)
+        core = _load_coreset(args.coreset, spec)
     else:
         core = Coreset(
             rows=np.array([[1.0, 0.0]]),

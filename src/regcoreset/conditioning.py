@@ -118,8 +118,9 @@ def _conditioning_ratios(U: np.ndarray, p: float, Z: np.ndarray) -> np.ndarray:
 def orthonormal_basis(Aprime) -> WellConditionedBasis:
     """QR-based basis for p = 2: alpha = sqrt(m), beta = 1, exact ||A'||_2.
 
-    For A' with orthonormal columns this returns U = A' and V = I exactly
-    because of the positive-diagonal convention on R.
+    ||A'||_2 = ||QR||_2 = sigma_max(R), taken from the m x m factor, not from
+    the n rows.  For A' with orthonormal columns this returns U = A' and
+    V = I exactly because of the positive-diagonal convention on R.
     """
     Aprime = as_matrix(Aprime, "Aprime")
     n, m = Aprime.shape
@@ -136,7 +137,7 @@ def orthonormal_basis(Aprime) -> WellConditionedBasis:
         beta=1.0,
         p=2.0,
         construction=ORTHONORMAL,
-        induced_norm=induced_norm_upper(Aprime, 2),
+        induced_norm=float(np.linalg.norm(R, 2)),
     )
 
 

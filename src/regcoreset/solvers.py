@@ -11,6 +11,13 @@ triangular factor of [A b], which has at most d + 1 rows and keeps
 The instance computes that factor on first use and caches it
 (RegressionInstance.squared_loss_factor), so every squared-loss solve on
 one instance shares a single QR of the n rows.
+
+A result's "converged" means one of two things.  At p = 1 with lam > 0
+(RLAD) IRLS stops once a dual point certifies a relative duality gap
+<= tol, and SolverResult.gap records that bound.  Everywhere else, and for
+RLAD solves whose certificate never gets within tol, it means the solver's
+own test passed (the stall test for IRLS and FISTA; ridge is closed form),
+and gap is inf or above tol.
 """
 
 from __future__ import annotations
@@ -29,16 +36,35 @@ from .linalg import (
 from .objective import ObjectiveSpec
 
 _OBJ_FLOOR = 1e-30
+# IRLS at p = 1: residuals within _SET_TOL * (1 + ||r||_inf) of zero and
+# coordinates beyond _SET_TOL * (1 + ||x||_inf) fix an LP vertex, which is
+# tried only once a sweep changes the objective and the iterate by at most
+# _POLISH_PROGRESS (relative).  The loose _SET_TOL lets the sets settle
+# early; it also takes in small nonzero residuals, so the dual point frees
+# only the residuals the vertex fits to _DUAL_ZERO.
+_SET_TOL = 1e-3
+_POLISH_PROGRESS = 1e-2
+_DUAL_ZERO = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverResult:
+    """What a solve returned and how far it got.
+
+    gap is the best certified upper bound on the relative optimality gap
+    (objective - optimum) / objective that the solve found, or inf when it
+    found none; only IRLS at p = 1 with lam > 0 looks for one.  converged
+    means gap <= tol where a certificate stopped the solve, and otherwise
+    that the solver's own test passed (see the module docstring).
+    """
+
     solution: np.ndarray
     objective_value: float
     iterations: int
     converged: bool
     optimality_residual: float
     objective_history: list = field(default_factory=list, repr=False)
+    gap: float = np.inf
 
 
 def evaluate_objective(
@@ -254,11 +280,26 @@ def solve_lp_lp(
 ) -> SolverResult:
     """Damped IRLS for ||Ax - b||_p^p + lam*||x||_p^p, p in [1, 4].
 
-    Each sweep solves the weighted ridge system
+    The first iterate is the unit-weight sweep, the ridge solution of
+    (A^T A + lam * I) x = A^T b (zero if that system is singular).  Each
+    sweep solves the weighted ridge system
     (A^T W A + lam * diag(v)) x = A^T W b with W = max(|r|, 1e-8)^(p-2) and
     v = max(|x|, 1e-8)^(p-2); steps that fail to descend are geometrically
-    damped toward the previous iterate.  p = 2 has constant weights and is
-    solved in closed form by solve_ridge.
+    damped toward the previous iterate, so the recorded objective values
+    never increase.  p = 2 has constant weights and is solved in closed form
+    by solve_ridge.
+
+    At p = 1 with lam > 0 the problem is a linear program, and once a sweep
+    leaves the near-zero residuals Z and the clearly nonzero coordinates S
+    where the previous sweep left them, IRLS tries the LP vertex they fix
+    (_l1_vertex_certificate), once per pair (Z, S) and only if
+    |S| <= |Z| < n: a Z holding every row means the threshold found no
+    contrast.  The dual point built with the vertex bounds the minimum from
+    below.  When that bound puts the relative gap of the vertex, or of the
+    iterate, at or below tol, the better of the two is returned as
+    converged and SolverResult.gap records the bound.  Otherwise, and at
+    every other p, "converged" means the stall test: two sweeps in a row
+    whose relative objective drop and step both fall below tol.
     """
     if not 1 <= p <= 4:
         raise ValueError(f"p must lie in [1, 4], got {p}")
@@ -268,18 +309,26 @@ def solve_lp_lp(
     A, b = instance.design, instance.response
     smooth = 1e-8
     diag = np.diag_indices(instance.d)
+    H = A.T @ A
+    H[diag] += lam
     try:
-        x = solve_ridge(instance, lam).solution
-    except RankDeficiencyError:
+        x = np.linalg.solve(H, A.T @ b)
+    except np.linalg.LinAlgError:
         x = np.zeros(instance.d)
     r = A @ x - b
+    abs_r = np.abs(r)
     obj = _objective(r, x, spec)
+    history = [obj]
+    polish = p == 1 and lam > 0
+    last_key, tried = None, set()
     converged = False
     res = np.inf
+    lower = -np.inf  # best certified lower bound on the minimum
+    gap = np.inf
     flat_sweeps = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        w = np.maximum(np.abs(r), smooth) ** (p - 2.0)
+        w = np.maximum(abs_r, smooth) ** (p - 2.0)
         v = np.maximum(np.abs(x), smooth) ** (p - 2.0)
         H = A.T @ (w[:, None] * A)
         H[diag] += lam * v
@@ -297,7 +346,33 @@ def solve_lp_lp(
         rel_drop = (obj - obj_new) / max(abs(obj), _OBJ_FLOOR)
         rel_step = np.linalg.norm(x_new - x) / (1.0 + np.linalg.norm(x_new))
         x, obj, r = x_new, obj_new, r_new
+        abs_r = np.abs(r)
         res = max(rel_drop, rel_step)
+        # While a sweep still moves the objective or the iterate by more
+        # than _POLISH_PROGRESS, the sets are not settled and testing them
+        # is wasted work.
+        if polish and res <= _POLISH_PROGRESS:
+            zero, support = _l1_active_sets(abs_r, x)
+            key = (zero.tobytes(), support.tobytes())
+            settled = key == last_key and key not in tried
+            if settled and support.sum() <= zero.sum() < zero.size:
+                tried.add(key)
+                vertex = _l1_vertex_certificate(A, b, spec, zero, support, obj)
+                if vertex is not None:
+                    x_v, r_v, obj_v, dual = vertex
+                    lower = max(lower, dual)
+                    # Only a certified vertex is taken: the exact zeros of a
+                    # wrong one would hold IRLS there until the stall test.
+                    if obj_v - lower <= tol * max(obj_v, _OBJ_FLOOR):
+                        x, r, obj = x_v, r_v, obj_v
+            last_key = key
+        else:
+            last_key = None
+        history.append(obj)
+        gap = (obj - lower) / max(obj, _OBJ_FLOOR)
+        if gap <= tol:
+            res, converged = gap, True
+            break
         flat_sweeps = flat_sweeps + 1 if res < tol else 0
         if flat_sweeps >= 2:
             converged = True
@@ -308,13 +383,62 @@ def solve_lp_lp(
         iterations=iterations,
         converged=converged,
         optimality_residual=float(res),
+        objective_history=history,
+        gap=float(gap),
     )
+
+
+def _l1_active_sets(abs_r: np.ndarray, x: np.ndarray):
+    """Masks of the near-zero residuals Z and the clearly nonzero coordinates S."""
+    abs_x = np.abs(x)
+    zero = abs_r <= _SET_TOL * (1.0 + abs_r.max())
+    support = abs_x > _SET_TOL * (1.0 + abs_x.max())
+    return zero, support
+
+
+def _l1_vertex_certificate(A, b, spec, zero, support, obj):
+    """The LP vertex fixed by (Z, S) and a lower bound on the minimum.
+
+    The vertex fits the rows Z on the columns S, x_S = lstsq(A[Z, S], b[Z]),
+    and is zero off S.  With r = Ax - b, the dual point y is sign(r) off the
+    rows the vertex fits exactly (|r_i| <= _DUAL_ZERO * (1 + ||r||_inf), a
+    subset of Z) and, on them, the least-squares solution of
+    (A^T y)_S = -lam * sign(x_S) clipped to [-1, 1]; y is then scaled so that
+    ||A^T y||_inf <= lam.  Every such y bounds the minimum from below (weak
+    duality): |r_i| >= y_i r_i and lam*|x_j| >= -(A^T y)_j x_j add up to
+    P(x) >= -b^T y for every x.  Returns (x, r, objective, -b^T y), or None
+    when A[Z, S] has rank below |S|, when the vertex's objective exceeds
+    obj, the iterate's, or when it fits fewer than |S| rows exactly: then
+    (Z, S) is not the optimum's, and its dual point is not worth building.
+    """
+    fit = A[np.ix_(zero, support)]
+    coef, _, rank, _ = np.linalg.lstsq(fit, b[zero], rcond=None)
+    if rank < fit.shape[1]:
+        return None
+    x = np.zeros(A.shape[1])
+    x[support] = coef
+    r = A @ x - b
+    vertex_obj = _objective(r, x, spec)
+    abs_r = np.abs(r)
+    zero = zero & (abs_r <= _DUAL_ZERO * (1.0 + abs_r.max()))
+    if vertex_obj > obj or zero.sum() < fit.shape[1]:
+        return None
+    fit = A[np.ix_(zero, support)]
+    y = np.sign(r)
+    y[zero] = 0.0
+    rhs = -spec.lam * np.sign(coef) - A[:, support].T @ y
+    y[zero] = np.clip(np.linalg.lstsq(fit.T, rhs, rcond=None)[0], -1.0, 1.0)
+    y /= max(1.0, float(np.max(np.abs(A.T @ y))) / spec.lam)
+    return x, r, vertex_obj, -float(b @ y)
 
 
 def solve_multiresponse_rlad(
     A, B, lam: float, tol: float = 1e-6, max_iter: int = 20000
 ) -> SolverResult:
-    """Column-by-column RLAD; the objective is separable across responses."""
+    """Column-by-column RLAD; the objective is separable across responses.
+
+    The relative gap of the sum is at most the largest column gap.
+    """
     A, B = as_matrix(A, "A"), as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:
         raise ShapeError(
@@ -324,7 +448,7 @@ def solve_multiresponse_rlad(
     total = 0.0
     iterations = 0
     converged = True
-    res = 0.0
+    res = gap = 0.0
     for j in range(B.shape[1]):
         sub = solve_rlad(
             RegressionInstance(A, B[:, j]), lam, tol=tol, max_iter=max_iter
@@ -334,10 +458,12 @@ def solve_multiresponse_rlad(
         iterations = max(iterations, sub.iterations)
         converged = converged and sub.converged
         res = max(res, sub.optimality_residual)
+        gap = max(gap, sub.gap)
     return SolverResult(
         solution=np.column_stack(columns),
         objective_value=total,
         iterations=iterations,
         converged=converged,
         optimality_residual=res,
+        gap=gap,
     )

@@ -504,6 +504,17 @@ def test_coreset_scaled_for_another_p_is_rejected(
     capsys.readouterr()
 
 
+def test_lowerbound_rejects_a_coreset_scaled_for_another_p(ng_path, tmp_path, capsys):
+    core = tmp_path / "core.json"
+    assert dispatch(["coreset", "--instance", ng_path, "--scheme", "uniform",
+                     "--size", "30", "--out", str(core)]) == 0
+    assert dispatch(["lowerbound", "--instance", ng_path, "--coreset", str(core),
+                     "--p", "1", "--probes", "20"]) == 1
+    err = capsys.readouterr().err
+    assert "scaled for p=2.0" in err
+    assert "loss exponent p=1.0" in err
+
+
 def test_experiment_reads_csv_config(tmp_path):
     rng = np.random.default_rng(3)
     data = rng.standard_normal((40, 4))

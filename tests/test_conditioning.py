@@ -26,7 +26,8 @@ from regcoreset.errors import (
     RankDeficiencyError,
     ShapeError,
 )
-from regcoreset.linalg import entrywise_p_norm, induced_norm_upper
+from regcoreset.experiments import ExperimentConfig, build_experiment_instance
+from regcoreset.linalg import augment, entrywise_p_norm, induced_norm_upper
 from regcoreset.sensitivity import rlad_sensitivity_bounds
 
 
@@ -292,3 +293,15 @@ def test_basis_records_the_induced_norm_of_its_matrix():
     for p in (1.0, 1.5, 2.0, 3.0):
         assert p_conditioned_basis(M, p).induced_norm == induced_norm_upper(M, p)
     assert orthonormal_basis(M).induced_norm == induced_norm_upper(M, 2)
+
+
+def test_orthonormal_basis_norm_from_r_matches_the_n_row_svd():
+    rng = np.random.default_rng(16)
+    tall = [rng.standard_normal((n, m)) * scale
+            for n, m, scale in ((50, 1, 1.0), (300, 7, 1e-3), (2000, 31, 1e4))]
+    ng, _ = build_experiment_instance(ExperimentConfig(
+        n=20_000, d=30, lambda_grid=(0.5,), sample_sizes=(30,), master_seed=2))
+    for M in (*tall, augment(ng)):
+        assert orthonormal_basis(M).induced_norm == pytest.approx(
+            induced_norm_upper(M, 2), rel=1e-12
+        )

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regcoreset import experiments
 from regcoreset.errors import RankDeficiencyError, ShapeError
 from regcoreset.experiments import (
     ExperimentConfig,
     build_experiment_instance,
+    run_relative_error_experiment,
     run_sparsity_experiment,
 )
 from regcoreset.linalg import RegressionInstance
 from regcoreset.objective import ObjectiveSpec
+from regcoreset.seeding import mix_seed
 from regcoreset.solvers import (
     evaluate_objective,
     multiresponse_rlad_objective,
@@ -268,6 +271,75 @@ def test_cross_solver_agreement(l1_vertex_minimum):
             ridge.objective_value, 1e-30
         )
         assert rel2 < 1e-8
+
+
+def test_rlad_certificate_bounds_the_exact_gap(l1_vertex_minimum):
+    # Odd seeds repeat rows, as coresets drawn with replacement do, which
+    # makes the optimal LP vertex degenerate.
+    certified = 0
+    for seed in range(12):
+        rng = np.random.default_rng(300 + seed)
+        A, b = rng.standard_normal((12, 3)), rng.standard_normal(12)
+        if seed % 2:
+            A[6:9], b[6:9] = A[0], b[0]
+        inst = RegressionInstance(A, b)
+        for lam in (0.1, 0.3, 1.0):
+            result = solve_rlad(inst, lam, tol=1e-9, max_iter=100_000)
+            exact = l1_vertex_minimum(inst, lam)
+            obj = result.objective_value
+            assert result.converged
+            # 1e-14 allows for rounding in the two sums being compared.
+            assert result.gap >= (obj - exact) / obj - 1e-14
+            if result.gap <= 1e-9:
+                certified += 1
+                assert abs(obj - exact) / exact < 1e-12
+            else:  # the stall test stopped it, as before certificates
+                assert abs(obj - exact) / exact < 1e-6
+    # 32 of 36 certify.  Seed 5 (every lam) has an optimal coordinate near
+    # 1e-4, below the support threshold, and seed 11 (lam = 0.3) residuals
+    # near 3e-3, inside the zero threshold, so their vertices are not the
+    # optimum.
+    assert certified >= 30
+
+
+def test_rlad_lambda_zero_on_repeated_rows_stays_finite_and_monotone():
+    # Eight weighted copies of three rows in five columns: A^T A is singular,
+    # so the unit-weight start solves a singular system.
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        rows, resp = rng.standard_normal((3, 5)), rng.standard_normal(3)
+        idx = np.array([0, 0, 1, 2, 2, 2, 1, 0])
+        w = rng.uniform(0.5, 3.0, idx.size)
+        inst = RegressionInstance(rows[idx] * w[:, None], resp[idx] * w)
+        result = solve_rlad(inst, 0.0)
+        assert np.all(np.isfinite(result.solution))
+        assert np.isfinite(result.objective_value)
+        history = np.asarray(result.objective_history)
+        assert history.size == result.iterations + 1
+        assert np.all(np.diff(history) <= 0)
+        assert result.objective_value == history[-1]
+
+
+def test_rlad_table_sweep_count(monkeypatch):
+    # The first of the sixteen n = 400 tables of the rlad-small benchmark
+    # workload at seed 2.  The bound sits between the 145 sweeps it takes
+    # with certificates and the 272 the stall test alone takes.
+    seen = []
+
+    def counted(instance, lam, **kw):
+        result = solve_rlad(instance, lam, **kw)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(experiments, "solve_rlad", counted)
+    run_relative_error_experiment(ExperimentConfig(
+        n=400, d=30, lambda_grid=(0.5,), sample_sizes=(30, 50, 100, 150, 200),
+        schemes=("rlad_sensitivity", "uniform"), objective_family="rlad",
+        trials_per_cell=1, master_seed=mix_seed(2, 0),
+    ))
+    assert len(seen) == 11
+    assert all(r.converged and r.gap <= 1e-6 for r in seen)
+    assert sum(r.iterations for r in seen) <= 200
 
 
 def test_multiresponse_rlad_single_column_matches():
