@@ -349,8 +349,10 @@ def build_parser() -> _Parser:
     s.add_argument("--family", required=True, choices=_FAMILIES)
     s.add_argument("--lambda", dest="lam", type=float, default=0.0)
     s.add_argument("--p", type=float, default=2.0)
-    s.add_argument("--tol", type=float, default=1e-7)
-    s.add_argument("--max-iter", type=int, default=20000)
+    s.add_argument("--tol", type=float, default=1e-7,
+                   help="relative duality-gap bound; stall tolerance for p in (1, 4]")
+    s.add_argument("--max-iter", type=int, default=20000,
+                   help="cap on active-set steps (lasso families) or IRLS sweeps")
     s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_solve)
 

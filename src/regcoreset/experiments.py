@@ -261,18 +261,14 @@ def build_experiment_instance(
 
 
 def _solve(family: str, instance: RegressionInstance, lam: float, coreset: bool = False):
-    # Coreset instances are small, so extra iterations are cheap; their
-    # reweighted rows can be badly scaled, so the tolerance is also relaxed
-    # (the reported V2 only needs the solution, not a tight certificate).
     if family == "modified_lasso":
-        tol, max_iter = (1e-7, 200000) if coreset else (1e-9, 50000)
-        return solve_modified_lasso(instance, lam, tol=tol, max_iter=max_iter)
+        return solve_modified_lasso(instance, lam)
     if family == "lasso":
-        tol, max_iter = (1e-7, 200000) if coreset else (1e-9, 50000)
-        return solve_lasso(instance, lam, tol=tol, max_iter=max_iter)
+        return solve_lasso(instance, lam)
     if family == "ridge":
         return solve_ridge(instance, lam)
     if family == "rlad":
+        # Coreset instances are small, so extra IRLS sweeps are cheap there.
         max_iter = 200000 if coreset else 50000
         return solve_rlad(instance, lam, tol=1e-6, max_iter=max_iter)
     raise ValueError(f"unknown objective family {family!r}")

@@ -1,6 +1,6 @@
 """Solvers for ||Ax - b||_p^r + lam * ||x||_q^s and friends.
 
-Closed form for ridge, FISTA (monotone restart variant) for the lasso and the
+Closed form for ridge, Lawson-Hanson active-set steps for the lasso and the
 squared-l1 "modified lasso", and damped IRLS for l_p losses with an l_p^p
 penalty, which at p = 1 also serves least absolute deviations with an l1
 penalty (RLAD).
@@ -12,12 +12,12 @@ The instance computes that factor on first use and caches it
 (RegressionInstance.squared_loss_factor), so every squared-loss solve on
 one instance shares a single QR of the n rows.
 
-A result's "converged" means one of two things.  At p = 1 with lam > 0
-(RLAD) IRLS stops once a dual point certifies a relative duality gap
-<= tol, and SolverResult.gap records that bound.  Everywhere else, and for
-RLAD solves whose certificate never gets within tol, it means the solver's
-own test passed (the stall test for IRLS and FISTA; ridge is closed form),
-and gap is inf or above tol.
+A result's gap bounds (objective - optimum) / objective through a dual
+point, or is inf.  The lasso and the modified lasso count active-set steps;
+for lam > 0 "converged" means gap <= tol, and at lam = 0 (least squares: no
+finite dual bound) that the KKT conditions hold to tol.  IRLS counts sweeps;
+at p = 1 with lam > 0 it stops once its certified gap is <= tol, and
+otherwise, as at every other p, "converged" means the stall test passed.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .linalg import (
 from .objective import ObjectiveSpec
 
 _OBJ_FLOOR = 1e-30
+_KKT_TOL = 1e-12  # relative active-set gradients below this are rounding
+_SINE_TOL = 1e-5  # least sine of a column to the earlier ones in a Gram solve
 # IRLS at p = 1: residuals within _SET_TOL * (1 + ||r||_inf) of zero and
 # coordinates beyond _SET_TOL * (1 + ||x||_inf) fix an LP vertex, which is
 # tried only once a sweep changes the objective and the iterate by at most
@@ -53,9 +55,9 @@ class SolverResult:
 
     gap is the best certified upper bound on the relative optimality gap
     (objective - optimum) / objective that the solve found, or inf when it
-    found none; only IRLS at p = 1 with lam > 0 looks for one.  converged
-    means gap <= tol where a certificate stopped the solve, and otherwise
-    that the solver's own test passed (see the module docstring).
+    found none.  converged, gap and iterations mean what the module
+    docstring says for each family; objective_history holds the objective
+    before the first iteration and after each, and is empty for ridge.
     """
 
     solution: np.ndarray
@@ -102,10 +104,6 @@ def sparsity_count(x, threshold: float = 1e-6) -> int:
     return int(np.sum(np.abs(as_vector(x, "x")) < threshold))
 
 
-def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
 def prox_squared_l1(v, t: float) -> np.ndarray:
     """argmin_x 0.5*||x - v||_2^2 + t*||x||_1^2, computed by sorting.
 
@@ -116,18 +114,13 @@ def prox_squared_l1(v, t: float) -> np.ndarray:
     v = as_vector(v, "v")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return _prox_squared_l1(v, t)
-
-
-def _prox_squared_l1(v: np.ndarray, t: float) -> np.ndarray:
-    """prox_squared_l1 for a finite 1-D float v and t >= 0, unchecked."""
     if t == 0 or not np.any(v):
         return v.copy()
     mags = np.sort(np.abs(v))[::-1]
     k = np.arange(1, v.size + 1)
     theta = 2.0 * t * np.cumsum(mags) / (1.0 + 2.0 * t * k)
-    active = int(np.count_nonzero(mags > theta))
-    return soft_threshold(v, theta[max(active - 1, 0)])
+    shift = theta[max(int(np.count_nonzero(mags > theta)) - 1, 0)]
+    return np.sign(v) * np.maximum(np.abs(v) - shift, 0.0)
 
 
 def solve_ridge(instance: RegressionInstance, lam: float) -> SolverResult:
@@ -160,70 +153,101 @@ def solve_ridge(instance: RegressionInstance, lam: float) -> SolverResult:
     )
 
 
-def _fista(instance, spec, prox, slope, tol, max_iter) -> SolverResult:
-    """Monotone FISTA for ||Ax - b||_2^2 plus the penalty of spec.
+def _active_set(instance, spec, tol, max_iter) -> SolverResult:
+    """Lawson-Hanson active-set steps for ||Ax - b||_2^2 + lam*||x||_1^s.
 
-    Step size, gradient, objective history and both stopping tests use the
-    instance's cached squared-loss factor (R, c) of [A b], so no iteration
-    touches the n rows and only the first squared-loss solve on an instance
-    factors them; the returned objective is evaluated on all n rows.
-
-    prox(v, step) is the penalty's proximal map and slope(x) its subgradient
-    scale on the support of x.  When the accelerated candidate raises the
-    objective the iterate is kept and the momentum sequence restarts, so the
-    recorded objective values never increase.  Convergence needs both a flat
-    10-iteration objective window and a small subgradient residual.
+    With x = z+ - z-, z >= 0 and (R, c) the instance's squared-loss factor,
+    the modified lasso (s = 2) is nonnegative least squares in Bz ~ e with
+    B = [R -R; sqrt(lam) 1^T], e = [c; 0] (z+_j z-_j = 0 at the optimum);
+    the lasso (s = 1) is min ||Bz - c||^2 + lam 1^T z with B = [R -R].
+    Each step heads for the minimum over the passive (free) variables and
+    stops where one reaches zero, which leaves the set; at a minimum, the
+    variable with the largest negative gradient w = q - Qz enters.  The
+    steps end when none exceeds _KKT_TOL (||q||_inf + linear term), before a
+    step that would raise the objective, or at a minimum no lower than the
+    last one: only rounding causes those two.
+    By weak duality the dual point u = 2(Rx - c), scaled for the lasso so
+    that ||R^T u||_inf <= lam, bounds the minimum below: it certifies gap.
     """
     R, c = instance.squared_loss_factor
-    sigma_max = float(np.linalg.svd(R, compute_uv=False)[0])
-    L = max(2.0 * sigma_max**2, 1e-12)
-    scale = 1.0 + float(np.linalg.norm(R.T @ c))
+    d, lam, modified = instance.d, spec.lam, spec.s == 2
+    B, e, linear = np.hstack([R, -R]), c, lam / 2.0
+    if modified:
+        B = np.vstack([B, np.full(2 * d, np.sqrt(lam))])
+        e, linear = np.append(c, 0.0), 0.0
+    Q, q = B.T @ B, B.T @ e - linear
+    scale = max(float(np.abs(q).max()) + linear, _OBJ_FLOOR)
 
-    def grad(x):
-        return 2.0 * (R.T @ (R @ x - c))
-
-    def objective(x):
+    def objective(z):
+        x = z[:d] - z[d:]
         return _objective(R @ x - c, x, spec)
 
-    def subgrad_gap(x):
-        g, theta = grad(x), slope(x)
-        parts = np.where(
-            x != 0, g + theta * np.sign(x), np.maximum(np.abs(g) - theta, 0.0)
-        )
-        return float(np.linalg.norm(parts)) / scale
+    z, passive = np.zeros(2 * d), np.zeros(2 * d, dtype=bool)
+    history = [objective(z)]
+    at_minimum, iterations, last_minimum = True, 0, history[0]
+    while iterations < max_iter:
+        if at_minimum:
+            w = np.where(passive, -np.inf, q - Q @ z)
+            if not w.max() > _KKT_TOL * scale:
+                break
+            passive[np.argmax(w)] = True
+        P = np.flatnonzero(passive)
+        zP = z[P]
+        QPP = Q[np.ix_(P, P)]
+        norms = np.sqrt(QPP.diagonal())
+        try:  # a Cholesky pivot over its column's norm is that column's sine
+            if not np.all(np.diag(np.linalg.cholesky(QPP)) > _SINE_TOL * norms):
+                raise np.linalg.LinAlgError("too ill-conditioned to square")
+            direction, reach = np.linalg.solve(QPP, q[P]) - zP, 1.0
+        except np.linalg.LinAlgError:
+            # B_P = U S V^T D, D its column norms, less rounding-level singular
+            # values; l = linear D^-1 1.  Head for the minimiser on P or, if l
+            # has a part n outside the row space of V^T, along the ray -D^-1 n.
+            U, sigma, Vt = np.linalg.svd(B[:, P] / norms, full_matrices=False)
+            keep = sigma > sigma[0] * P.size * np.finfo(float).eps
+            U, sigma, Vt, lin = U[:, keep], sigma[keep], Vt[keep], linear / norms
+            null = lin - Vt.T @ (Vt @ lin)
+            if np.linalg.norm(null) > _KKT_TOL * np.linalg.norm(lin):
+                direction, reach = -null / norms, np.inf
+            else:
+                s = Vt.T @ ((U.T @ e - (Vt @ lin) / sigma) / sigma) / norms
+                direction, reach = s - zP, 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(direction < 0, zP / -direction, np.inf)
+        step = min(reach, ratios.min())
+        cand = z.copy()
+        cand[P] = np.where(ratios == step, 0.0, np.maximum(zP + step * direction, 0.0))
+        cand_obj = objective(cand)
+        if not cand_obj <= history[-1]:
+            break
+        z, at_minimum = cand, step == reach
+        passive[P] = z[P] > 0
+        history.append(cand_obj)
+        iterations += 1
+        if at_minimum:  # no lower than the last minimum: the gradient was rounding
+            if cand_obj >= last_minimum:
+                break
+            last_minimum = cand_obj
 
-    x = np.zeros(instance.d)
-    y = x.copy()
-    t = 1.0
-    history = [objective(x)]
-    converged = False
-    res = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        z = prox(y - grad(y) / L, 1.0 / L)
-        fz = objective(z)
-        if fz > history[-1]:
-            # restart momentum; plain proximal step from x cannot ascend
-            z = prox(x - grad(x) / L, 1.0 / L)
-            fz = objective(z)
-            t = 1.0
-            if fz > history[-1]:
-                z, fz = x, history[-1]
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = z + ((t - 1.0) / t_next) * (z - x)
-        x, t = z, t_next
-        history.append(fz)
-        if iterations >= 10:
-            window = history[-11] - history[-1]
-            if window < tol * max(abs(history[-1]), _OBJ_FLOOR):
-                res = subgrad_gap(x)
-                if res < tol:
-                    converged = True
-                    break
-    if not converged:
-        res = subgrad_gap(x)
+    x = z[:d] - z[d:]
+    w = q - Q @ z
+    residual = float(np.max(np.where(z > 0, np.abs(w), w), initial=0.0)) / scale
+    gap = np.inf
+    if lam > 0:
+        u = 2.0 * (R @ x - c)
+        slope = float(np.abs(R.T @ u).max())
+        if not modified:
+            u *= lam / max(slope, lam)
+        dual = -(u @ u) / 4.0 - u @ c - (slope**2 / (4.0 * lam) if modified else 0.0)
+        gap = max(history[-1] - float(dual), 0.0) / max(history[-1], _OBJ_FLOOR)
     return SolverResult(
-        x, evaluate_objective(instance, x, spec), iterations, converged, float(res), history
+        solution=x,
+        objective_value=evaluate_objective(instance, x, spec),
+        iterations=iterations,
+        converged=bool(gap <= tol if lam > 0 else residual <= tol),
+        optimality_residual=residual,
+        objective_history=history,
+        gap=gap,
     )
 
 
@@ -233,15 +257,8 @@ def solve_lasso(
     tol: float = 1e-8,
     max_iter: int = 20000,
 ) -> SolverResult:
-    """FISTA for ||Ax - b||_2^2 + lam*||x||_1 with step 1/(2*sigma_max^2)."""
-    return _fista(
-        instance,
-        ObjectiveSpec.lasso(lam),
-        lambda v, step: soft_threshold(v, lam * step),
-        lambda x: lam,
-        tol,
-        max_iter,
-    )
+    """||Ax - b||_2^2 + lam*||x||_1, exactly, by active-set steps."""
+    return _active_set(instance, ObjectiveSpec.lasso(lam), tol, max_iter)
 
 
 def solve_modified_lasso(
@@ -250,15 +267,8 @@ def solve_modified_lasso(
     tol: float = 1e-8,
     max_iter: int = 20000,
 ) -> SolverResult:
-    """FISTA for ||Ax - b||_2^2 + lam*||x||_1^2 using the squared-l1 prox."""
-    return _fista(
-        instance,
-        ObjectiveSpec.modified_lasso(lam),
-        lambda v, step: _prox_squared_l1(v, lam * step),
-        lambda x: 2.0 * lam * float(np.sum(np.abs(x))),
-        tol,
-        max_iter,
-    )
+    """||Ax - b||_2^2 + lam*||x||_1^2, exactly, by active-set steps."""
+    return _active_set(instance, ObjectiveSpec.modified_lasso(lam), tol, max_iter)
 
 
 def solve_rlad(
@@ -284,10 +294,10 @@ def solve_lp_lp(
     (A^T A + lam * I) x = A^T b (zero if that system is singular).  Each
     sweep solves the weighted ridge system
     (A^T W A + lam * diag(v)) x = A^T W b with W = max(|r|, 1e-8)^(p-2) and
-    v = max(|x|, 1e-8)^(p-2); steps that fail to descend are geometrically
-    damped toward the previous iterate, so the recorded objective values
-    never increase.  p = 2 has constant weights and is solved in closed form
-    by solve_ridge.
+    v = max(|x|, 1e-8)^(p-2), by least squares when singular; steps that
+    fail to descend are geometrically damped toward the previous iterate, so
+    the recorded objective values never increase.  p = 2 has constant
+    weights and is solved in closed form by solve_ridge.
 
     At p = 1 with lam > 0 the problem is a linear program, and once a sweep
     leaves the near-zero residuals Z and the clearly nonzero coordinates S
@@ -332,7 +342,10 @@ def solve_lp_lp(
         v = np.maximum(np.abs(x), smooth) ** (p - 2.0)
         H = A.T @ (w[:, None] * A)
         H[diag] += lam * v
-        target = np.linalg.solve(H, A.T @ (w * b))
+        try:
+            target = np.linalg.solve(H, A.T @ (w * b))
+        except np.linalg.LinAlgError:
+            target = np.linalg.lstsq(H, A.T @ (w * b), rcond=None)[0]
         step = 1.0
         x_new, obj_new, r_new = x, obj, r
         while step > 1e-8:

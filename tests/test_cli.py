@@ -143,9 +143,9 @@ for argv in steps:
 
 
 def test_default_tol_converges_on_readme_chain(tmp_path):
-    # With BLAS on one thread this coreset floors FISTA's subgradient residual
-    # just above 1e-8, so a 1e-8 default ran all 20000 iterations and printed
-    # converged: false although the objective had settled within 20.
+    # This coreset once held a first-order solver's residual just above a
+    # 1e-8 default, so it ran all 20000 iterations and printed converged:
+    # false; the active set ends in a few steps with a certified gap.
     paths = [str(tmp_path / name) for name in ("inst.json", "core.json", "out.json")]
     env = dict(
         os.environ,

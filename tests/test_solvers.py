@@ -182,11 +182,23 @@ def test_lasso_zero_threshold():
     assert np.array_equal(result.solution, np.zeros(3))
 
 
+def _assert_history_is_monotone(result):
+    # One entry before the first step and one after each, ending at the
+    # returned point (whose objective is evaluated on the n rows).
+    hist = result.objective_history
+    assert len(hist) == result.iterations + 1 >= 2
+    assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
+    assert hist[-1] == pytest.approx(result.objective_value, rel=1e-12)
+
+
 def test_lasso_history_is_monotone():
     inst = _instance(7, 25, 4)
-    result = solve_lasso(inst, 0.8, tol=1e-7)
-    hist = result.objective_history
-    assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
+    _assert_history_is_monotone(solve_lasso(inst, 0.8, tol=1e-7))
+
+
+def test_modified_lasso_history_is_monotone():
+    inst = _instance(7, 25, 4)
+    _assert_history_is_monotone(solve_modified_lasso(inst, 0.8, tol=1e-7))
 
 
 def test_modified_lasso_scalar_example():
@@ -318,6 +330,23 @@ def test_rlad_lambda_zero_on_repeated_rows_stays_finite_and_monotone():
         assert history.size == result.iterations + 1
         assert np.all(np.diff(history) <= 0)
         assert result.objective_value == history[-1]
+
+
+def test_rlad_lambda_zero_with_a_zero_column_stays_finite_and_monotone():
+    # Every row is a multiple of (1, 0, 2), so A^T W A is exactly singular in
+    # every sweep, not only at the unit-weight start.  The optimum puts
+    # x_1 + 2 x_3 at the weighted median 1.5 of b_i / a_i1.
+    inst = RegressionInstance(
+        [[1, 0, 2], [1, 0, 2], [2, 0, 4], [0.5, 0, 1]], [1, 2, 3, 0.1]
+    )
+    result = solve_rlad(inst, 0.0)
+    assert np.all(np.isfinite(result.solution))
+    history = np.asarray(result.objective_history)
+    assert history.size == result.iterations + 1 >= 2
+    assert np.all(np.isfinite(history))
+    assert np.all(np.diff(history) <= 0)
+    assert result.objective_value == history[-1]
+    assert result.objective_value == pytest.approx(1.65, rel=1e-6)
 
 
 def test_rlad_table_sweep_count(monkeypatch):
@@ -464,7 +493,7 @@ def test_sparsity_table_factors_the_instance_once(monkeypatch):
     assert n_row_qrs == [(config.n, config.d + 1)]
 
 
-def test_fista_reaches_least_squares_at_tiny_residual():
+def test_active_set_reaches_least_squares_at_tiny_residual():
     # Noise 1e-5 leaves a loss of about 1e-10 ||b||^2, below the rounding of
     # the normal-equations form x^T A^T A x - 2 b^T A x + b^T b; the factor
     # keeps it.
@@ -479,6 +508,91 @@ def test_fista_reaches_least_squares_at_tiny_residual():
     )
     assert result.objective_value <= (1.0 + 1e-8) * floor
     assert result.converged
+
+
+_L1_SOLVERS = {1: solve_lasso, 2: solve_modified_lasso}
+
+
+def test_active_set_matches_enumeration_oracle(l1_penalized_least_squares_minimum):
+    # Column scales over four orders of magnitude; lam from nearly least
+    # squares to an all-zero solution.
+    for seed in range(40):
+        rng = np.random.default_rng(600 + seed)
+        d = int(rng.integers(1, 5))
+        n = int(rng.integers(d + 1, 15))
+        A = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2, d)
+        inst = RegressionInstance(A, rng.standard_normal(n))
+        for lam in (0.01, 0.3, 3.0, 30.0):
+            for s, solve in _L1_SOLVERS.items():
+                result = solve(inst, lam)
+                exact = l1_penalized_least_squares_minimum(inst, lam, s)
+                obj = result.objective_value
+                assert result.converged and result.gap <= 1e-8
+                assert abs(obj - exact) <= 1e-12 * exact
+                # 1e-14 allows for rounding in the two sums being compared.
+                assert result.gap >= (obj - exact) / obj - 1e-14
+
+
+def test_active_set_on_rank_deficient_factor(l1_penalized_least_squares_minimum):
+    # Weighted copies of two or three distinct rows in four columns, as
+    # coresets drawn with replacement give: R has rank below d.
+    for seed in range(8):
+        rng = np.random.default_rng(700 + seed)
+        distinct = 2 + seed % 2
+        rows, resp = rng.standard_normal((distinct, 4)), rng.standard_normal(distinct)
+        idx = rng.integers(0, distinct, 9)
+        w = rng.uniform(0.5, 3.0, idx.size)
+        inst = RegressionInstance(rows[idx] * w[:, None], resp[idx] * w)
+        assert np.linalg.matrix_rank(inst.squared_loss_factor[0]) < inst.d
+        for lam in (0.1, 1.0):
+            for s, solve in _L1_SOLVERS.items():
+                result = solve(inst, lam)
+                exact = l1_penalized_least_squares_minimum(inst, lam, s)
+                assert np.all(np.isfinite(result.solution))
+                assert result.converged
+                assert abs(result.objective_value - exact) <= 1e-10 * exact
+
+
+def test_active_set_on_nearly_dependent_columns(l1_penalized_least_squares_minimum):
+    # Columns 0 and 2 differ by 1e-7 noise, so a face holding both has a
+    # condition number near 1e7: its normal equations would lose every digit.
+    for seed in range(10):
+        rng = np.random.default_rng(900 + seed)
+        A = rng.standard_normal((12, 3))
+        A[:, 2] = A[:, 0] + 1e-7 * rng.standard_normal(12)
+        b = A @ np.array([1.0, -0.5, 2.0]) + 0.1 * rng.standard_normal(12)
+        inst = RegressionInstance(A, b)
+        for lam in (1e-3, 0.1, 1.0):
+            for s, solve in _L1_SOLVERS.items():
+                result = solve(inst, lam)
+                exact = l1_penalized_least_squares_minimum(inst, lam, s)
+                obj = result.objective_value
+                assert abs(obj - exact) <= 1e-12 * exact
+                assert result.gap >= (obj - exact) / obj - 1e-14
+
+
+def test_modified_lasso_converges_where_fista_stalled():
+    # test_10's seed-8007 instance: the first-order method this solver
+    # replaced ran 50 000 iterations on it and stopped unconverged.
+    rng = np.random.default_rng(8007)
+    design = rng.standard_normal((400, 5))
+    response = design @ rng.standard_normal(5) + 0.2 * rng.standard_normal(400)
+    result = solve_modified_lasso(
+        RegressionInstance(design, response), 0.8, tol=1e-9, max_iter=50_000
+    )
+    assert result.converged is True
+    assert result.gap <= 1e-9
+    assert result.iterations <= 2 * design.shape[1]
+
+
+def test_lambda_zero_converged_is_the_kkt_check():
+    # No finite dual bound exists for least squares, so gap stays inf.
+    inst = _instance(9, 30, 3)
+    for solve in _L1_SOLVERS.values():
+        result = solve(inst, 0.0)
+        assert result.converged is True and result.gap == np.inf
+        truncated = solve(inst, 0.0, max_iter=1)
+        assert truncated.iterations == 1 and truncated.converged is False
 
 
 def _ridge_by_svd_of_design(inst, lam):
