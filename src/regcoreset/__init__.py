@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .conditioning import (
     ConditioningReport,
     WellConditionedBasis,
-    orthonormal_basis,
     p_conditioned_basis,
     verify_conditioning,
 )

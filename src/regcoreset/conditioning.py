@@ -9,7 +9,8 @@ beta is certified at every p in [1, 4]: the basis comes from a fixed number of
 steps towards the l_p Lewis weights, and beta follows from computed numbers by
 an inequality that holds whether or not the weights have converged.  Building
 a basis samples nothing and takes no seed; verify_conditioning is the separate
-sampled check.  The orthonormal basis for p = 2 has beta = 1 exactly.
+sampled check.  At p = 2 the Lewis weights are all 1, so one step gives the
+orthonormal QR factor, with beta = 1 + 1e-9.
 """
 
 from __future__ import annotations
@@ -18,20 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningFailureError, RankDeficiencyError, ShapeError
+from .errors import ConditioningFailureError, ShapeError
 from .linalg import as_matrix, entrywise_p_norm, induced_norm_upper
 
 _ALPHA_MARGIN = 1.01
-# Lewis fixed-point steps, the same at every p.  Measured at p = 1 on NG
-# instances (d = 30): alpha*beta is within 0.15% of its limit after 12 steps,
-# at n = 400 and at n = 20 000.
+# Lewis fixed-point steps at every p but 2, which needs one.  Measured at
+# p = 1 on NG instances (d = 30): alpha*beta is within 0.15% of its limit
+# after 12 steps, at n = 400 and at n = 20 000.
 _LEWIS_STEPS = 12
 # The certificate beta = c assumes V^{1/2} U is exactly orthonormal; in
 # floating point its Gram matrix is off by ~1e-11, which this covers.
 _BETA_ROUNDING = 1.0 + 1e-9
-
-ORTHONORMAL = "orthonormal"
-LEWIS = "lewis"
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,6 @@ class WellConditionedBasis:
     alpha: float
     beta: float
     p: float
-    construction: str
     induced_norm: float
 
 
@@ -66,23 +63,12 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _diag_signs(R: np.ndarray) -> np.ndarray:
+def _positive_diag_r(M: np.ndarray) -> np.ndarray:
+    """The R factor of a thin QR of M, its rows signed so that diag(R) >= 0."""
+    R = np.linalg.qr(M, mode="r")
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
-    return signs
-
-
-def _positive_diag_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR normalized so diag(R) >= 0, which makes the factors unique."""
-    Q, R = np.linalg.qr(M)
-    signs = _diag_signs(R)
-    return Q * signs, signs[:, None] * R
-
-
-def _positive_diag_r(M: np.ndarray) -> np.ndarray:
-    """The R factor of _positive_diag_qr without forming Q."""
-    R = np.linalg.qr(M, mode="r")
-    return _diag_signs(R)[:, None] * R
+    return signs[:, None] * R
 
 
 def _is_singular(R: np.ndarray) -> bool:
@@ -115,32 +101,6 @@ def _conditioning_ratios(U: np.ndarray, p: float, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def orthonormal_basis(Aprime) -> WellConditionedBasis:
-    """QR-based basis for p = 2: alpha = sqrt(m), beta = 1, exact ||A'||_2.
-
-    ||A'||_2 = ||QR||_2 = sigma_max(R), taken from the m x m factor, not from
-    the n rows.  For A' with orthonormal columns this returns U = A' and
-    V = I exactly because of the positive-diagonal convention on R.
-    """
-    Aprime = as_matrix(Aprime, "Aprime")
-    n, m = Aprime.shape
-    if n < m:
-        raise ShapeError(f"need a tall matrix, got {n}x{m}")
-    Q, R = _positive_diag_qr(Aprime)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= diag.max() * max(n, m) * np.finfo(float).eps:
-        raise RankDeficiencyError("input matrix is rank deficient")
-    return WellConditionedBasis(
-        basis=Q,
-        change_of_basis=R,
-        alpha=float(np.sqrt(m)),
-        beta=1.0,
-        p=2.0,
-        construction=ORTHONORMAL,
-        induced_norm=float(np.linalg.norm(R, 2)),
-    )
-
-
 def _lewis_basis(Aprime: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, float]:
     """U = A' R^-1 from _LEWIS_STEPS steps towards the l_p Lewis weights.
 
@@ -155,11 +115,13 @@ def _lewis_basis(Aprime: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, 
                ||z||_q <= m^(1/q - 1/2) ||z||_2, so c = (m sum_i w_i)^(1/2 - 1/p)
     (Cohen & Peng, Lp Row Sampling by Lewis Weights, arXiv:1412.0588).  At
     p = 1 the exponents are 0.5 and 1.0, which numpy evaluates exactly as a
-    square root and a copy.  Returns (U, R, c).
+    square root and a copy.  At p = 2 the row scale w^(1/p - 1/2) is exactly
+    1 whatever w is, so every step would repeat the first one bit for bit:
+    one step is taken.  Returns (U, R, c).
     """
     m = Aprime.shape[1]
     w = np.ones(Aprime.shape[0])
-    for _ in range(_LEWIS_STEPS):
+    for _ in range(1 if p == 2 else _LEWIS_STEPS):
         R = _positive_diag_r(Aprime / (w ** (1 / p - 0.5))[:, None])
         if _is_singular(R):
             raise ConditioningFailureError("weighted QR of A' is singular")
@@ -178,7 +140,8 @@ def _lewis_basis(Aprime: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, 
 def p_conditioned_basis(Aprime, p: float) -> WellConditionedBasis:
     """(alpha, beta, p) well-conditioned basis U = A' R^-1 for p in [1, 4].
 
-    R comes from _LEWIS_STEPS steps of the l_p Lewis-weight iteration, and
+    R comes from _LEWIS_STEPS steps of the l_p Lewis-weight iteration (one
+    step at p = 2, where it is the QR factor with diag(R) >= 0), and
     beta = c * (1 + 1e-9) is certified at every p: c bounds ||z||_q / ||Uz||_p
     for every z (see _lewis_basis).  Nothing is sampled, so equal inputs give
     equal bits.  alpha is the measured entrywise norm of U times a 1% slack,
@@ -203,7 +166,6 @@ def p_conditioned_basis(Aprime, p: float) -> WellConditionedBasis:
         alpha=float(alpha),
         beta=c * _BETA_ROUNDING,
         p=float(p),
-        construction=LEWIS,
         induced_norm=induced_norm,
     )
 
@@ -215,9 +177,9 @@ def verify_conditioning(
 
     This is an independent sampled check, the one sampler left in the module.
     Its beta is the largest ratio over random unit directions, so it can only
-    under-shoot the true beta: it never exceeds a certified beta (the Lewis
-    basis at any p, the orthonormal basis), and a violation flag means the
-    recorded pair is broken.  The same seed gives the same report.
+    under-shoot the true beta: it never exceeds the certified beta of a
+    p_conditioned_basis at any p, and a violation flag means the recorded
+    pair is broken.  The same seed gives the same report.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -260,7 +260,7 @@ def build_experiment_instance(
     return RegressionInstance(A, b), x_true
 
 
-def _solve(family: str, instance: RegressionInstance, lam: float, coreset: bool = False):
+def _solve(family: str, instance: RegressionInstance, lam: float):
     if family == "modified_lasso":
         return solve_modified_lasso(instance, lam)
     if family == "lasso":
@@ -268,9 +268,7 @@ def _solve(family: str, instance: RegressionInstance, lam: float, coreset: bool 
     if family == "ridge":
         return solve_ridge(instance, lam)
     if family == "rlad":
-        # Coreset instances are small, so extra IRLS sweeps are cheap there.
-        max_iter = 200000 if coreset else 50000
-        return solve_rlad(instance, lam, tol=1e-6, max_iter=max_iter)
+        return solve_rlad(instance, lam)
     raise ValueError(f"unknown objective family {family!r}")
 
 
@@ -345,7 +343,7 @@ def run_relative_error_experiment(
                         core_instance = build_coreset(
                             instance, scores[(si, li)], size, spec_for[lam].p, seed
                         ).as_instance()
-                    sub = _solve(family, core_instance, lam, coreset=True)
+                    sub = _solve(family, core_instance, lam)
                     v2 = evaluate_objective(instance, sub.solution, spec_for[lam])
                     reports.append(
                         TrialReport(

@@ -168,6 +168,8 @@ def _active_set(instance, spec, tol, max_iter) -> SolverResult:
     last one: only rounding causes those two.
     By weak duality the dual point u = 2(Rx - c), scaled for the lasso so
     that ||R^T u||_inf <= lam, bounds the minimum below: it certifies gap.
+    When that gap is above tol, the x of one more solve on the passive face
+    builds a second dual point, and gap is the better of the two.
     """
     R, c = instance.squared_loss_factor
     d, lam, modified = instance.d, spec.lam, spec.s == 2
@@ -234,12 +236,17 @@ def _active_set(instance, spec, tol, max_iter) -> SolverResult:
     residual = float(np.max(np.where(z > 0, np.abs(w), w), initial=0.0)) / scale
     gap = np.inf
     if lam > 0:
-        u = 2.0 * (R @ x - c)
-        slope = float(np.abs(R.T @ u).max())
-        if not modified:
-            u *= lam / max(slope, lam)
-        dual = -(u @ u) / 4.0 - u @ c - (slope**2 / (4.0 * lam) if modified else 0.0)
-        gap = max(history[-1] - float(dual), 0.0) / max(history[-1], _OBJ_FLOOR)
+        gap = _gap(R, c, lam, modified, x, history[-1])
+        P = np.flatnonzero(passive)
+        if gap > tol and P.size:
+            # Rounding can leave z a hair off its face's minimum.  Any dual
+            # point bounds the minimum, so x and its objective stay as they are.
+            fine = z.copy()
+            try:
+                fine[P] += np.linalg.solve(Q[np.ix_(P, P)], w[P])
+            except np.linalg.LinAlgError:
+                pass
+            gap = min(gap, _gap(R, c, lam, modified, fine[:d] - fine[d:], history[-1]))
     return SolverResult(
         solution=x,
         objective_value=evaluate_objective(instance, x, spec),
@@ -249,6 +256,20 @@ def _active_set(instance, spec, tol, max_iter) -> SolverResult:
         objective_history=history,
         gap=gap,
     )
+
+
+def _gap(R, c, lam, modified, x, objective) -> float:
+    """The relative gap of objective against the dual point u = 2(Rx - c).
+
+    For the lasso u is scaled so that ||R^T u||_inf <= lam; by weak duality
+    every such u bounds the minimum below, whatever x built it.
+    """
+    u = 2.0 * (R @ x - c)
+    slope = float(np.abs(R.T @ u).max())
+    if not modified:
+        u *= lam / max(slope, lam)
+    dual = -(u @ u) / 4.0 - u @ c - (slope**2 / (4.0 * lam) if modified else 0.0)
+    return max(objective - float(dual), 0.0) / max(objective, _OBJ_FLOOR)
 
 
 def solve_lasso(

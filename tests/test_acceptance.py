@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from regcoreset.conditioning import orthonormal_basis, p_conditioned_basis
+from regcoreset.conditioning import p_conditioned_basis
 from regcoreset.coreset import (
     Coreset,
     build_coreset,
@@ -205,7 +205,7 @@ def test_05_sensitivity_bounds_dominate_grid_oracle():
             bound = rlad_sensitivity_bounds(basis, lam)
             spec = ObjectiveSpec.rlad(lam)
         else:
-            basis = orthonormal_basis(aprime)
+            basis = p_conditioned_basis(aprime, 2.0)
             bound = lp_lp_sensitivity_bounds(basis, lam)
             spec = ObjectiveSpec.ridge(lam)
         oracle = brute_force_sensitivity(inst, spec)

@@ -1,5 +1,6 @@
 """Tests for well-conditioned basis construction and certification."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,20 +13,13 @@ from hypothesis import strategies as st
 
 import regcoreset
 from regcoreset.conditioning import (
-    LEWIS,
-    ORTHONORMAL,
     WellConditionedBasis,
     _conditioning_ratios,
     dual_exponent,
-    orthonormal_basis,
     p_conditioned_basis,
     verify_conditioning,
 )
-from regcoreset.errors import (
-    ConditioningFailureError,
-    RankDeficiencyError,
-    ShapeError,
-)
+from regcoreset.errors import ConditioningFailureError, ShapeError
 from regcoreset.experiments import ExperimentConfig, build_experiment_instance
 from regcoreset.linalg import augment, entrywise_p_norm, induced_norm_upper
 from regcoreset.sensitivity import rlad_sensitivity_bounds
@@ -40,16 +34,16 @@ def test_dual_exponent_pairs():
 
 def test_orthonormal_input_returns_itself():
     Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((30, 4)))
-    basis = orthonormal_basis(Q)
+    basis = p_conditioned_basis(Q, 2.0)
     assert np.allclose(basis.basis, Q, atol=1e-12)
     assert np.allclose(basis.change_of_basis, np.eye(4), atol=1e-12)
-    assert basis.construction == ORTHONORMAL
+    assert basis.beta == 1 + 1e-9
 
 
 def test_orthonormal_diagonal_example():
-    basis = orthonormal_basis(np.diag([2.0, 3.0]))
-    assert basis.alpha == pytest.approx(np.sqrt(2))
-    assert basis.beta == 1.0
+    basis = p_conditioned_basis(np.diag([2.0, 3.0]), 2.0)
+    assert basis.alpha == pytest.approx(np.sqrt(2) * 1.01)
+    assert basis.beta == 1 + 1e-9
     assert basis.p == 2.0
     assert np.allclose(basis.basis, np.eye(2))
     assert np.allclose(basis.change_of_basis, np.diag([2.0, 3.0]))
@@ -57,7 +51,7 @@ def test_orthonormal_diagonal_example():
 
 def test_orthonormal_random_has_orthonormal_columns():
     M = np.random.default_rng(12).standard_normal((50, 4))
-    basis = orthonormal_basis(M)
+    basis = p_conditioned_basis(M, 2.0)
     gram = basis.basis.T @ basis.basis
     assert np.linalg.norm(gram - np.eye(4)) < 1e-8
     resid = np.linalg.norm(basis.basis @ basis.change_of_basis - M)
@@ -65,10 +59,10 @@ def test_orthonormal_random_has_orthonormal_columns():
 
 
 def test_orthonormal_rejects_rank_deficient_and_wide():
-    with pytest.raises(RankDeficiencyError):
-        orthonormal_basis(np.ones((50, 3)))
+    with pytest.raises(ConditioningFailureError):
+        p_conditioned_basis(np.ones((50, 3)), 2.0)
     with pytest.raises(ShapeError):
-        orthonormal_basis(np.ones((2, 5)))
+        p_conditioned_basis(np.ones((2, 5)), 2.0)
 
 
 def test_lewis_p2_quality_near_orthonormal():
@@ -77,7 +71,6 @@ def test_lewis_p2_quality_near_orthonormal():
     for seed in (0, 1, 2):
         M = np.random.default_rng(11 + seed).standard_normal((100, 4))
         basis = p_conditioned_basis(M, 2.0)
-        assert basis.construction == LEWIS
         assert basis.beta <= 1 + 1e-9
         assert basis.alpha * basis.beta <= 1.02 * np.sqrt(4)
 
@@ -107,10 +100,11 @@ def test_constructed_bases_pass_certificate(p):
 
 
 def test_sketch_rejects_bad_inputs():
-    with pytest.raises(ConditioningFailureError):
-        p_conditioned_basis(np.ones((50, 3)), 1.0)
-    with pytest.raises(ShapeError):
-        p_conditioned_basis(np.ones((2, 5)), 1.0)
+    for p in (1.0, 2.0):
+        with pytest.raises(ConditioningFailureError):
+            p_conditioned_basis(np.ones((50, 3)), p)
+        with pytest.raises(ShapeError):
+            p_conditioned_basis(np.ones((2, 5)), p)
     M = np.random.default_rng(0).standard_normal((20, 2))
     with pytest.raises(ValueError):
         p_conditioned_basis(M, 0.5)
@@ -128,7 +122,6 @@ def test_lewis_basis_is_deterministic_and_certified(p):
     assert np.array_equal(a.basis, b.basis)
     assert np.array_equal(a.change_of_basis, b.change_of_basis)
     assert a.alpha == b.alpha and a.beta == b.beta
-    assert a.construction == LEWIS
     for seed in (4, 5):
         assert verify_conditioning(a, 10_000, seed).beta_empirical <= a.beta
 
@@ -182,7 +175,6 @@ def test_lewis_basis_memory_is_a_few_copies_of_the_input(p):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert basis.construction == LEWIS
     assert peak < 8 * M.nbytes
 
 
@@ -204,28 +196,27 @@ def test_import_and_l1_basis_load_no_scipy():
 
 def test_verify_reports_exact_alpha_witness():
     M = np.random.default_rng(5).standard_normal((40, 3))
-    basis = orthonormal_basis(M)
+    basis = p_conditioned_basis(M, 2.0)
     report = verify_conditioning(basis, 100, seed=1)
     assert report.alpha_witness == entrywise_p_norm(basis.basis, 2.0)
     assert report.trials == 100 and report.seed == 1
 
 
 def test_verify_orthonormal_beta_at_most_one():
-    basis = orthonormal_basis(np.vstack([np.eye(2), np.zeros((1, 2))]))
+    basis = p_conditioned_basis(np.vstack([np.eye(2), np.zeros((1, 2))]), 2.0)
     report = verify_conditioning(basis, 2000, seed=1)
     assert report.beta_empirical <= 1 + 1e-8
     assert not report.violation
 
 
 def test_verify_flags_corrupted_beta():
-    good = orthonormal_basis(np.vstack([np.eye(2), np.zeros((1, 2))]))
+    good = p_conditioned_basis(np.vstack([np.eye(2), np.zeros((1, 2))]), 2.0)
     bad = WellConditionedBasis(
         basis=good.basis,
         change_of_basis=good.change_of_basis,
         alpha=good.alpha,
         beta=0.5,
         p=2.0,
-        construction=ORTHONORMAL,
         induced_norm=good.induced_norm,
     )
     assert verify_conditioning(bad, 500, seed=3).violation
@@ -233,7 +224,7 @@ def test_verify_flags_corrupted_beta():
 
 
 def test_verify_rejects_zero_trials():
-    basis = orthonormal_basis(np.eye(2))
+    basis = p_conditioned_basis(np.eye(2), 2.0)
     with pytest.raises(ValueError):
         verify_conditioning(basis, 0, seed=0)
 
@@ -277,7 +268,8 @@ def test_conditioning_ratios_match_out_of_place_formula(p):
 def test_verify_conditioning_holds_one_probe_buffer():
     # 4000 x 2000 probe products of 8 bytes are 61 MiB; a second buffer of
     # the same size would push the peak past 96 MiB.
-    basis = orthonormal_basis(np.random.default_rng(4).standard_normal((4000, 31)))
+    M = np.random.default_rng(4).standard_normal((4000, 31))
+    basis = p_conditioned_basis(M, 2.0)
     tracemalloc.start()
     try:
         report = verify_conditioning(basis, 2_000, seed=3)
@@ -292,7 +284,6 @@ def test_basis_records_the_induced_norm_of_its_matrix():
     M = np.random.default_rng(15).standard_normal((200, 5))
     for p in (1.0, 1.5, 2.0, 3.0):
         assert p_conditioned_basis(M, p).induced_norm == induced_norm_upper(M, p)
-    assert orthonormal_basis(M).induced_norm == induced_norm_upper(M, 2)
 
 
 def test_orthonormal_basis_norm_from_r_matches_the_n_row_svd():
@@ -302,6 +293,42 @@ def test_orthonormal_basis_norm_from_r_matches_the_n_row_svd():
     ng, _ = build_experiment_instance(ExperimentConfig(
         n=20_000, d=30, lambda_grid=(0.5,), sample_sizes=(30,), master_seed=2))
     for M in (*tall, augment(ng)):
-        assert orthonormal_basis(M).induced_norm == pytest.approx(
-            induced_norm_upper(M, 2), rel=1e-12
+        # The p = 2 basis records the n-row SVD norm; sigma_max(R) agrees.
+        basis = p_conditioned_basis(M, 2.0)
+        assert basis.induced_norm == induced_norm_upper(M, 2)
+        assert np.linalg.norm(basis.change_of_basis, 2) == pytest.approx(
+            basis.induced_norm, rel=1e-12
         )
+
+
+def test_p2_basis_takes_a_single_qr(monkeypatch):
+    # At p = 2 the Lewis row scale is exactly 1, so later steps would only
+    # repeat the first QR bit for bit.
+    qr = np.linalg.qr
+    calls = []
+
+    def counting_qr(M, *args, **kwargs):
+        calls.append(np.shape(M))
+        return qr(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    M = np.random.default_rng(18).standard_normal((500, 6))
+    p_conditioned_basis(M, 2.0)
+    assert calls == [M.shape]
+
+
+def test_p2_basis_keeps_its_bits():
+    # Recorded from the twelve-step construction on this fixed matrix: the
+    # one-step p = 2 basis must reproduce it bit for bit.
+    M = np.random.default_rng(17).standard_normal((40, 4))
+    basis = p_conditioned_basis(M, 2.0)
+    digest = hashlib.sha256()
+    for array in (basis.basis, basis.change_of_basis):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(np.array([basis.alpha, basis.beta, basis.induced_norm]).tobytes())
+    assert (basis.alpha, basis.beta, basis.induced_norm) == (
+        2.0199999999999996, 1.000000001, 8.279486616000016
+    )
+    assert digest.hexdigest() == (
+        "4a8d894a379cfe28a817cf2b95fc1e812940b37d24a6d0e30fbae3f786e4604f"
+    )

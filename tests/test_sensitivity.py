@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regcoreset.conditioning import orthonormal_basis, p_conditioned_basis
+from regcoreset.conditioning import p_conditioned_basis
 from regcoreset.coreset import build_coreset
 from regcoreset.errors import (
     DimensionTooLargeError,
@@ -63,13 +63,15 @@ def test_uniform_scores():
 
 
 def test_lp_lp_hand_example():
-    # I2 stacked over one zero row: orthonormal basis is the matrix itself,
-    # beta = 1, induced 2-norm 1, lam = 1 halves the row mass term.
+    # I2 stacked over one zero row: the p = 2 basis is the matrix itself,
+    # beta = 1 + 1e-9, induced 2-norm 1, lam = 1 halves the row mass term.
     aprime = np.vstack([np.eye(2), np.zeros((1, 2))])
-    basis = orthonormal_basis(aprime)
+    basis = p_conditioned_basis(aprime, 2.0)
     scores = lp_lp_sensitivity_bounds(basis, 1.0)
-    assert scores.values == pytest.approx([5 / 6, 5 / 6, 1 / 3], abs=1e-12)
-    assert scores.total == pytest.approx(2.0, abs=1e-12)
+    half = (1 + 1e-9) ** 2 / 2
+    expected = [half + 1 / 3, half + 1 / 3, 1 / 3]
+    assert scores.values == pytest.approx(expected, abs=1e-12)
+    assert scores.total == pytest.approx(2 * half + 1, abs=1e-12)
     assert scores.info["induced_norm"] == 1.0
 
 
@@ -83,7 +85,7 @@ def test_lp_lp_lambda_zero_collapses_denominator():
 
 def test_lp_lp_doubling_lambda_shrinks_first_term():
     M = np.random.default_rng(2).standard_normal((30, 3))
-    basis = orthonormal_basis(M)
+    basis = p_conditioned_basis(M, 2.0)
     lo = lp_lp_sensitivity_bounds(basis, 0.5)
     hi = lp_lp_sensitivity_bounds(basis, 1.0)
     assert np.all((hi.values - 1 / 30) < (lo.values - 1 / 30))
@@ -91,7 +93,7 @@ def test_lp_lp_doubling_lambda_shrinks_first_term():
 
 def test_lp_lp_total_monotone_in_lambda():
     M = np.random.default_rng(3).standard_normal((50, 4))
-    basis = orthonormal_basis(M)
+    basis = p_conditioned_basis(M, 2.0)
     totals = [
         lp_lp_sensitivity_bounds(basis, lam).total
         for lam in (0.0, 0.5, 5.0, 50.0)
@@ -100,7 +102,7 @@ def test_lp_lp_total_monotone_in_lambda():
 
 
 def test_lp_lp_rejects_bad_inputs():
-    basis = orthonormal_basis(np.eye(3))
+    basis = p_conditioned_basis(np.eye(3), 2.0)
     with pytest.raises(ValueError):
         lp_lp_sensitivity_bounds(basis, -0.1)
 
@@ -108,14 +110,13 @@ def test_lp_lp_rejects_bad_inputs():
 def test_lp_lp_broken_alpha_certificate_is_caught():
     from regcoreset.conditioning import WellConditionedBasis
 
-    good = orthonormal_basis(np.random.default_rng(4).standard_normal((20, 3)))
+    good = p_conditioned_basis(np.random.default_rng(4).standard_normal((20, 3)), 2.0)
     forged = WellConditionedBasis(
         basis=good.basis,
         change_of_basis=good.change_of_basis,
         alpha=1e-3,
         beta=good.beta,
         p=2.0,
-        construction=good.construction,
         induced_norm=1.0,
     )
     with pytest.raises(InvalidScoresError):
@@ -135,7 +136,7 @@ def test_rlad_specializes_lp_lp():
 def test_rlad_requires_p1_basis():
     M = np.random.default_rng(11).standard_normal((20, 2))
     with pytest.raises(SchemeMismatchError):
-        rlad_sensitivity_bounds(orthonormal_basis(M), 0.0)
+        rlad_sensitivity_bounds(p_conditioned_basis(M, 2.0), 0.0)
 
 
 def test_multiresponse_matches_single_response_formula():
@@ -327,7 +328,7 @@ def test_oracle_domination_sweep(p, lam):
             bound = rlad_sensitivity_bounds(basis, lam)
             spec = ObjectiveSpec.rlad(lam)
         elif p == 2.0:
-            bound = lp_lp_sensitivity_bounds(orthonormal_basis(aprime), lam)
+            bound = lp_lp_sensitivity_bounds(p_conditioned_basis(aprime, 2.0), lam)
             spec = ObjectiveSpec.ridge(lam)
         else:
             bound = lp_lp_sensitivity_bounds(p_conditioned_basis(aprime, p), lam)
@@ -363,7 +364,7 @@ def test_score_bounds_dominate_grid_oracle(d, data_seed, lam, max_row_scale, zer
     bounds = [
         (rlad_sensitivity_bounds(p_conditioned_basis(aprime, 1.0), lam),
          ObjectiveSpec.rlad(lam)),
-        (lp_lp_sensitivity_bounds(orthonormal_basis(aprime), lam),
+        (lp_lp_sensitivity_bounds(p_conditioned_basis(aprime, 2.0), lam),
          ObjectiveSpec.ridge(lam)),
     ]
     for bound, spec in bounds:

@@ -571,6 +571,25 @@ def test_active_set_on_nearly_dependent_columns(l1_penalized_least_squares_minim
                 assert result.gap >= (obj - exact) / obj - 1e-14
 
 
+def test_active_set_certifies_an_exact_solve_a_rounding_short_of_its_face(
+    l1_penalized_least_squares_minimum,
+):
+    # The last step stops one rounding short of the face minimum, and the
+    # dual point of that x certifies only 1.75e-8; the dual point of one
+    # more solve on the face certifies the same x to rounding.
+    rng = np.random.default_rng(906)
+    A = rng.standard_normal((12, 3))
+    A[:, 2] = A[:, 0] + 1e-7 * rng.standard_normal(12)
+    b = A @ np.array([1.0, -0.5, 2.0]) + 0.1 * rng.standard_normal(12)
+    inst = RegressionInstance(A, b)
+    result = solve_lasso(inst, 0.1)
+    exact = l1_penalized_least_squares_minimum(inst, 0.1, 1)
+    obj = result.objective_value
+    assert result.converged is True and result.gap <= 1e-8
+    assert abs(obj - exact) <= 1e-12 * exact
+    assert result.gap >= (obj - exact) / obj - 1e-14
+
+
 def test_modified_lasso_converges_where_fista_stalled():
     # test_10's seed-8007 instance: the first-order method this solver
     # replaced ran 50 000 iterations on it and stopped unconverged.

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import runpy
 from pathlib import Path
 
 import regcoreset
@@ -65,3 +66,38 @@ def test_no_dead_private_definitions():
         if unused:
             dead[name] = unused
     assert dead == {}
+
+
+def _benchmark_hooks() -> dict:
+    """HOOKS of perfbench/spans.py, run from its file; running it wraps nothing."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    return runpy.run_path(str(path))["HOOKS"]
+
+
+def test_benchmark_hooks_resolve():
+    # The benchmark wraps each hooked name in the module that calls it, so
+    # the module must bind the name and read it by name: a call that goes
+    # around the name (a renamed function, a module-qualified call) is never
+    # recorded and stops the benchmark.
+    bound, read = {}, {}
+    for hooks in _benchmark_hooks().values():
+        for module_name, attr, *_ in hooks:
+            package, _, module = module_name.partition(".")
+            assert package == "regcoreset"
+            if module not in bound:
+                source = (_PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+                tree = ast.parse(source)
+                bound[module] = {
+                    alias.asname or alias.name
+                    for node in tree.body if isinstance(node, ast.ImportFrom)
+                    for alias in node.names
+                } | {
+                    node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                }
+                read[module] = {
+                    node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                }
+            assert attr in bound[module], f"{module_name} does not bind {attr}"
+            assert attr in read[module], f"{module_name} never reads {attr} by name"
