@@ -208,6 +208,7 @@ def _cmd_solve(args) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "optimality_residual": result.optimality_residual,
+        "gap": result.gap if np.isfinite(result.gap) else None,  # JSON has no inf
     }
     _write(canonical_json(payload), args.out)
     return 0

@@ -1,9 +1,12 @@
 """Importance-sampled coresets and their verification.
 
 A coreset is r rows drawn i.i.d. with replacement with probability s_i / S
-(S the score total), each kept row carrying weight S / (r * s_i).  Rows are
-stored in augmented [A  b] form pre-scaled by weight^(1/p), so the coreset is
-itself an ordinary regression instance for any p-norm loss.
+(S the score total), each kept row carrying weight S / (r * s_i).  The r
+draws search the CDF the scores build once (SensitivityScores.cdf) for r
+uniform numbers, as Generator.choice(p=s / S) does, so they pick the rows
+choice would for the same seed in O(r log n).  Rows are stored in
+augmented [A  b] form pre-scaled by weight^(1/p), so the coreset is itself
+an ordinary regression instance for any p-norm loss.
 """
 
 from __future__ import annotations
@@ -145,9 +148,7 @@ def build_coreset(
         raise InvalidScoresError(
             f"scores cover {scores.n} rows but instance has {instance.n}"
         )
-    probs = scores.values / scores.values.sum()
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(instance.n, size=r, replace=True, p=probs)
+    idx = scores.cdf.searchsorted(np.random.default_rng(seed).random(r), side="right")
     weights = scores.total / (r * scores.values[idx])
     kept = RegressionInstance(instance.design[idx], instance.response[idx])
     rows = augment(kept) * weights[:, None] ** (1.0 / p)

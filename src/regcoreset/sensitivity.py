@@ -15,6 +15,7 @@ score).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,17 @@ class SensitivityScores:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative sampling probabilities, built as Generator.choice builds them.
+
+        Computed on first use, read-only; it ends at exactly 1.
+        """
+        cdf = (self.values / self.values.sum()).cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return cdf
 
 
 def uniform_scores(n: int) -> SensitivityScores:

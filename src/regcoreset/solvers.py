@@ -7,10 +7,11 @@ penalty (RLAD).
 
 The squared-loss solvers (ridge, lasso, modified lasso) work on the
 triangular factor of [A b], which has at most d + 1 rows and keeps
-||Ax - b||_2 exactly; the objective they return is evaluated on all n rows.
-The instance computes that factor on first use and caches it
-(RegressionInstance.squared_loss_factor), so every squared-loss solve on
-one instance shares a single QR of the n rows.
+||Ax - b||_2 exactly, and evaluate_objective takes every squared loss
+(p = r = 2) from it too, so the objective they return costs no pass over
+the n rows.  The instance computes that factor on first use and caches it
+(RegressionInstance.squared_loss_factor), so every squared-loss solve and
+evaluation on one instance shares a single QR of the n rows.
 
 A result's gap bounds (objective - optimum) / objective through a dual
 point, or is inf.  The lasso and the modified lasso count active-set steps;
@@ -72,7 +73,12 @@ class SolverResult:
 def evaluate_objective(
     instance: RegressionInstance, x, spec: ObjectiveSpec
 ) -> float:
-    """||Ax - b||_p^r + lam * ||x||_q^s for a single-response instance."""
+    """||Ax - b||_p^r + lam * ||x||_q^s for a single-response instance.
+
+    The squared loss (p = r = 2) is ||Rx - c||_2^2 on the instance's cached
+    factor, (d + 1)-row work after its first use; other losses take all n
+    rows.
+    """
     if spec.family == "multiresponse_rlad":
         raise ValueError(
             "multiresponse objectives need matrix arguments; "
@@ -81,6 +87,9 @@ def evaluate_objective(
     x = as_vector(x, "x")
     if x.shape[0] != instance.d:
         raise ShapeError(f"x has length {x.shape[0]}, expected {instance.d}")
+    if spec.p == 2 and spec.r == 2:
+        R, c = instance.squared_loss_factor
+        return _objective(R @ x - c, x, spec)
     return _objective(instance.design @ x - instance.response, x, spec)
 
 

@@ -457,7 +457,20 @@ def test_solve_document_matches_library(ng_path, tmp_path, family):
         "iterations": result.iterations,
         "converged": result.converged,
         "optimality_residual": result.optimality_residual,
+        "gap": result.gap if np.isfinite(result.gap) else None,
     }))
+
+
+def test_solve_document_reports_the_certified_gap(ng_path, tmp_path):
+    out = tmp_path / "solve.json"
+    flags = ["--instance", ng_path, "--lambda", "0.5", "--out", str(out)]
+    assert dispatch(["solve", *flags, "--family", "modified_lasso", "--tol", "1e-9"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is True
+    assert 0.0 <= doc["gap"] <= 1e-9
+    # Ridge certifies no gap; inf would be written as Infinity, which is not JSON.
+    assert dispatch(["solve", *flags, "--family", "ridge"]) == 0
+    assert '"gap":null' in out.read_text()
 
 
 def test_readme_chain_exits_zero_and_echoes_config(tmp_path):

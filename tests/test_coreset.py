@@ -16,7 +16,11 @@ from regcoreset.coreset import (
 from regcoreset.errors import InvalidScoresError, ShapeError
 from regcoreset.linalg import RegressionInstance, augment
 from regcoreset.objective import ObjectiveSpec
-from regcoreset.sensitivity import ridge_leverage_scores, uniform_scores
+from regcoreset.sensitivity import (
+    SensitivityScores,
+    ridge_leverage_scores,
+    uniform_scores,
+)
 
 
 def _instance(seed: int, n: int, d: int) -> RegressionInstance:
@@ -67,6 +71,32 @@ def test_build_coreset_deterministic():
     assert np.array_equal(a.source_indices, b.source_indices)
     c = build_coreset(inst, scores, 10, 2.0, seed=8)
     assert not np.array_equal(a.source_indices, c.source_indices)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 90210])
+def test_sampler_draws_what_generator_choice_draws(seed):
+    # The CDF the scores build once must give the rows choice(p=s/S) gives,
+    # for score vectors with zeros at either end and in between.
+    rng = np.random.default_rng(seed + 500)
+    n = 60
+    inst = _instance(seed, n, 3)
+    spiky = rng.random(n) ** 4
+    spiky[[0, n - 1, *rng.choice(n, 15)]] = 0.0
+    spiky[n // 2] = 1.0
+    live = np.arange(n) % 4 > 0  # every fourth row of [A b] is zero
+    zero_rows = RegressionInstance(inst.design * live[:, None], inst.response * live)
+    for scores in (
+        SensitivityScores(spiky, "brute_force", 0.0, 2.0),
+        ridge_leverage_scores(zero_rows, 0.5),
+    ):
+        values = scores.values
+        assert np.count_nonzero(values == 0.0) >= 3
+        for r in (1, 17, 400):
+            drawn = build_coreset(inst, scores, r, 2.0, seed=seed).source_indices
+            expected = np.random.default_rng(seed).choice(
+                n, r, replace=True, p=values / values.sum()
+            )
+            assert np.array_equal(drawn, expected)
 
 
 def test_weight_formula_exactness():

@@ -1,5 +1,7 @@
 """Tests for objective evaluation and the solver family."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -471,6 +473,49 @@ def test_squared_loss_factor_is_lossless(
         assert abs(np.linalg.norm(R @ x - c) - full) <= 1e-12 * full
     atb_tol = 1e-12 * np.linalg.norm(A, 2) * np.linalg.norm(b)
     assert np.all(np.abs(R.T @ c - A.T @ b) <= atb_tol)
+
+
+_SQUARED_LOSS_SPECS = {
+    "ridge": ObjectiveSpec.ridge,
+    "lasso": ObjectiveSpec.lasso,
+    "modified_lasso": ObjectiveSpec.modified_lasso,
+    "custom": lambda lam: ObjectiveSpec(p=2, q=1.5, r=2, s=3, lam=lam, family="custom"),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    d=st.integers(1, 6),
+    shape=st.sampled_from(["short", "square", "tall"]),
+    design=st.sampled_from(["gaussian", "rank_deficient", "zero"]),
+    family=st.sampled_from(sorted(_SQUARED_LOSS_SPECS)),
+    lam=st.sampled_from([0.0, 1e-3, 0.7, 50.0]),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_squared_loss_on_the_factor_matches_the_rows(
+    d, shape, design, family, lam, data_seed
+):
+    # The squared loss comes from the cached (d+1)-row factor.  It must equal
+    # the n-row sum to rounding, measured against ||[A b]|| ||[x; -1]|| and
+    # not against the residual, which the least-squares query makes tiny.
+    rng = np.random.default_rng(data_seed)
+    n = {"short": int(rng.integers(1, d + 1)), "square": d,
+         "tall": int(rng.integers(3, 40)) * d}[shape]
+    A = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, d)
+    if design == "rank_deficient":
+        A[:, -1] = A[:, 0] if d >= 2 else 0.0
+    elif design == "zero":
+        A[:] = 0.0
+    b = rng.standard_normal(n)
+    inst, spec = RegressionInstance(A, b), _SQUARED_LOSS_SPECS[family](lam)
+    queries = [*rng.standard_normal((3, d)), np.linalg.lstsq(A, b, rcond=None)[0]]
+    scale = np.linalg.norm(np.column_stack([A, b]))
+    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        for x in queries:
+            rows = np.sum((A @ x - b) ** 2) + lam * np.linalg.norm(x, spec.q) ** spec.s
+            tol = 1e-12 * (scale * np.linalg.norm(np.append(x, -1.0))) ** 2
+            assert abs(evaluate_objective(inst, x, spec) - rows) <= tol
+    assert qr.call_count == 1  # later calls reuse the cached factor
 
 
 def test_sparsity_table_factors_the_instance_once(monkeypatch):
