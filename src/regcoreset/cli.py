@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .linalg import RegressionInstance, augment
 from .lowerbound import demonstrate_violation
-from .objective import ObjectiveSpec
+from .objective import FAMILIES, ObjectiveSpec
 from .seeding import mix_seed
 from .sensitivity import (
     lp_lp_sensitivity_bounds,
@@ -49,9 +49,6 @@ from .solvers import (
     solve_rlad,
     solve_ridge,
 )
-
-_FAMILIES = ["ridge", "lasso", "modified_lasso", "rlad", "lp_lp"]
-
 
 class _UsageError(Exception):
     pass
@@ -92,11 +89,12 @@ def _load_instance(path: str) -> RegressionInstance:
     return RegressionInstance(doc["design"], doc["response"])
 
 
-def _load_coreset(path: str, spec: ObjectiveSpec | None = None) -> Coreset:
+def _load_coreset(path: str, p: float, objective: str) -> Coreset:
     """Read a bare or provenance-wrapped coreset document.
 
     Rows are pre-scaled by weight^(1/p), so a wrapped coreset whose recorded
-    p differs from the loss exponent of spec would weight its rows wrongly.
+    p differs from the loss exponent p of the objective, named in the error,
+    would weight its rows wrongly.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -104,10 +102,10 @@ def _load_coreset(path: str, spec: ObjectiveSpec | None = None) -> Coreset:
         raise ValueError(f"coreset file {path} does not hold a JSON object")
     config = doc.get("config")
     built_p = config.get("p") if isinstance(config, dict) else None
-    if spec is not None and built_p is not None and built_p != spec.p:
+    if built_p is not None and built_p != p:
         raise ValueError(
-            f"coreset {path} was scaled for p={built_p}, but family "
-            f"{spec.family!r} has loss exponent p={spec.p}"
+            f"coreset {path} was scaled for p={built_p}, but {objective} "
+            f"has loss exponent p={p}"
         )
     return Coreset.from_dict(doc.get("coreset", doc))
 
@@ -143,8 +141,6 @@ def _cmd_gen_ng(args) -> int:
 def _scores_for_cli(args, instance: RegressionInstance):
     if args.scheme == "uniform":
         return uniform_scores(instance.n)
-    if args.scheme == "leverage":
-        return ridge_leverage_scores(instance, 0.0)
     if args.scheme == "ridge-leverage":
         return ridge_leverage_scores(instance, args.lam)
     aprime = augment(instance)
@@ -184,7 +180,9 @@ def _cmd_solve(args) -> int:
     if args.instance is not None:
         instance = _load_instance(args.instance)
     else:
-        instance = _load_coreset(args.coreset, spec).as_instance()
+        instance = _load_coreset(
+            args.coreset, spec.p, f"family {args.family!r}"
+        ).as_instance()
     if args.family == "ridge":
         result = solve_ridge(instance, args.lam)
     elif args.family == "lasso":
@@ -221,7 +219,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--queries must be >= 1, got {args.queries}")
     instance = _load_instance(args.instance)
     spec = ObjectiveSpec.for_family(args.family, args.lam, p=args.p)
-    core = _load_coreset(args.coreset, spec)
+    core = _load_coreset(args.coreset, spec.p, f"family {args.family!r}")
     rng = np.random.default_rng(mix_seed(args.seed, _TAG_QUERIES))
     queries = list(rng.standard_normal((args.queries, instance.d)))
     report = verify_coreset(instance, core, spec, queries, args.epsilon)
@@ -281,13 +279,13 @@ def _cmd_table(args) -> int:
 def _cmd_lowerbound(args) -> int:
     _check_lambda(args.lam)
     _check_epsilon(args.epsilon)
-    spec = ObjectiveSpec(args.p, args.q, args.r, args.s, lam=args.lam, family="custom")
+    spec = ObjectiveSpec(args.p, args.q, args.r, args.s, lam=args.lam)
     if args.instance is not None:
         aprime = augment(_load_instance(args.instance))
     else:
         aprime = np.eye(2)  # canonical demonstration matrix
     if args.coreset is not None:
-        core = _load_coreset(args.coreset, spec)
+        core = _load_coreset(args.coreset, spec.p, "the objective")
     else:
         core = Coreset(
             rows=np.array([[1.0, 0.0]]),
@@ -332,7 +330,7 @@ def build_parser() -> _Parser:
     c.add_argument(
         "--scheme",
         required=True,
-        choices=["uniform", "leverage", "ridge-leverage", "lp-lp", "rlad"],
+        choices=["uniform", "ridge-leverage", "lp-lp", "rlad"],
     )
     c.add_argument("--lambda", dest="lam", type=float, default=0.0)
     c.add_argument("--size", type=int, default=None)
@@ -347,7 +345,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("solve", help="solve an objective on an instance or coreset")
     s.add_argument("--instance", default=None)
     s.add_argument("--coreset", default=None)
-    s.add_argument("--family", required=True, choices=_FAMILIES)
+    s.add_argument("--family", required=True, choices=list(FAMILIES))
     s.add_argument("--lambda", dest="lam", type=float, default=0.0)
     s.add_argument("--p", type=float, default=2.0)
     s.add_argument("--tol", type=float, default=1e-7,
@@ -360,7 +358,7 @@ def build_parser() -> _Parser:
     v = sub.add_parser("verify", help="check a coreset against its instance")
     v.add_argument("--instance", required=True)
     v.add_argument("--coreset", required=True)
-    v.add_argument("--family", default="ridge", choices=_FAMILIES)
+    v.add_argument("--family", default="ridge", choices=list(FAMILIES))
     v.add_argument("--lambda", dest="lam", type=float, default=0.0)
     v.add_argument("--p", type=float, default=2.0)
     v.add_argument("--epsilon", type=float, required=True)

@@ -274,8 +274,8 @@ def transfer_check(
         raise ValueError(f"need q <= p, got q={q} > p={p}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    spec_p = ObjectiveSpec(p=p, q=p, r=p, s=p, lam=lam, family="custom")
-    spec_q = ObjectiveSpec(p=p, q=q, r=p, s=p, lam=lam, family="custom")
+    spec_p = ObjectiveSpec(p=p, q=p, r=p, s=p, lam=lam)
+    spec_q = ObjectiveSpec(p=p, q=q, r=p, s=p, lam=lam)
     queries = _checked_queries(instance, coreset, queries, epsilon)
     devs_p, degen_p = _deviations(instance, coreset, spec_p, queries)
     devs_q, degen_q = _deviations(instance, coreset, spec_q, queries)

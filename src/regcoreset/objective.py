@@ -7,23 +7,21 @@ from dataclasses import dataclass
 import numpy as np
 
 # family -> (p, q, r, s); None entries are filled from the p argument.
-_FAMILIES = {
-    "lp_lp": (None, None, None, None),
+FAMILIES = {
     "ridge": (2.0, 2.0, 2.0, 2.0),
     "lasso": (2.0, 1.0, 2.0, 1.0),
     "modified_lasso": (2.0, 1.0, 2.0, 2.0),
     "rlad": (1.0, 1.0, 1.0, 1.0),
-    "multiresponse_rlad": (1.0, 1.0, 1.0, 1.0),
-    "custom": None,
+    "lp_lp": (None, None, None, None),
 }
 
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Loss exponents (p, r), penalty exponents (q, s), weight lam, family tag.
+    """Loss exponents (p, r), penalty exponents (q, s) and weight lam.
 
-    The family tag is redundant with the exponents for the named families and
-    is validated against them; "custom" admits any valid exponent combination.
+    The exponents alone decide how an objective is evaluated and solved; the
+    family names of FAMILIES are shorthands for some of their combinations.
     """
 
     p: float
@@ -31,11 +29,8 @@ class ObjectiveSpec:
     r: float
     s: float
     lam: float
-    family: str
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
         for name in ("p", "q"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 1:
@@ -45,23 +40,14 @@ class ObjectiveSpec:
                 raise ValueError(f"{name} must be positive")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        expected = _FAMILIES[self.family]
-        if expected is not None:
-            filled = tuple(self.p if e is None else e for e in expected)
-            actual = (self.p, self.q, self.r, self.s)
-            if actual != filled:
-                raise ValueError(
-                    f"family {self.family!r} requires exponents {filled}, "
-                    f"got {actual}"
-                )
 
     @classmethod
     def for_family(cls, family: str, lam: float, p: float = 2.0) -> "ObjectiveSpec":
         """Build the spec for a named family; p is only used by lp_lp."""
-        exponents = _FAMILIES.get(family)
+        exponents = FAMILIES.get(family)
         if exponents is None:
             raise ValueError(f"unknown family {family!r}")
-        return cls(*(p if e is None else e for e in exponents), lam=lam, family=family)
+        return cls(*(p if e is None else e for e in exponents), lam=lam)
 
     @classmethod
     def lp_lp(cls, p: float, lam: float) -> "ObjectiveSpec":
@@ -82,7 +68,3 @@ class ObjectiveSpec:
     @classmethod
     def rlad(cls, lam: float) -> "ObjectiveSpec":
         return cls.for_family("rlad", lam)
-
-    @classmethod
-    def multiresponse_rlad(cls, lam: float) -> "ObjectiveSpec":
-        return cls.for_family("multiresponse_rlad", lam)

@@ -54,7 +54,7 @@ SCHEMES = (
 
 @dataclass(frozen=True)
 class SensitivityScores:
-    """Non-negative per-row scores with their positive sum and provenance tags.
+    """Non-negative per-row scores, their positive sum and the scheme that built them.
 
     A zero score belongs to a row that no query can weigh, such as an all-zero
     row of [A  b]: it is never sampled, and its loss is 0 for every x.  info
@@ -64,8 +64,6 @@ class SensitivityScores:
 
     values: np.ndarray
     scheme: str
-    lam: float
-    p: float
     total: float = None  # type: ignore[assignment]
     info: dict = field(default_factory=dict)
 
@@ -77,8 +75,6 @@ class SensitivityScores:
             raise InvalidScoresError("scores must be finite, >= 0 and not all zero")
         if self.scheme not in SCHEMES:
             raise InvalidScoresError(f"unknown scheme {self.scheme!r}")
-        if self.lam < 0:
-            raise InvalidScoresError(f"lam must be >= 0, got {self.lam}")
         total = self.total
         if total is None:
             total = float(values.sum())
@@ -107,13 +103,7 @@ def uniform_scores(n: int) -> SensitivityScores:
     """Every row scores 1/n; the total is 1 by definition."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return SensitivityScores(
-        values=np.full(n, 1.0 / n),
-        scheme=SCHEME_UNIFORM,
-        lam=0.0,
-        p=2.0,
-        total=1.0,
-    )
+    return SensitivityScores(np.full(n, 1.0 / n), scheme=SCHEME_UNIFORM, total=1.0)
 
 
 def lp_lp_sensitivity_bounds(
@@ -143,8 +133,6 @@ def lp_lp_sensitivity_bounds(
     return SensitivityScores(
         values=values,
         scheme=SCHEME_LP_LP,
-        lam=lam,
-        p=p,
         info={"induced_norm": basis.induced_norm},
     )
 
@@ -212,9 +200,7 @@ def ridge_leverage_scores(
         check_full_column_rank(sigma, "aprime")
     values = aprime @ (vt.T / np.sqrt(sigma**2 + lam))
     values **= 2
-    return SensitivityScores(
-        values=values.sum(axis=1), scheme=SCHEME_RIDGE_LEVERAGE, lam=lam, p=2.0
-    )
+    return SensitivityScores(values=values.sum(axis=1), scheme=SCHEME_RIDGE_LEVERAGE)
 
 
 def _sphere_grid(dim: int, resolution: int) -> np.ndarray:
@@ -279,6 +265,4 @@ def brute_force_sensitivity(
     ok = denom > 1e-300
     ratios = (proj[:, ok] + reg[ok] / n) / denom[ok]
     values = ratios.max(axis=1)
-    return SensitivityScores(
-        values=values, scheme=SCHEME_BRUTE_FORCE, lam=lam, p=p
-    )
+    return SensitivityScores(values=values, scheme=SCHEME_BRUTE_FORCE)

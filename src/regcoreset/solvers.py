@@ -79,11 +79,6 @@ def evaluate_objective(
     factor, (d + 1)-row work after its first use; other losses take all n
     rows.
     """
-    if spec.family == "multiresponse_rlad":
-        raise ValueError(
-            "multiresponse objectives need matrix arguments; "
-            "use multiresponse_rlad_objective"
-        )
     x = as_vector(x, "x")
     if x.shape[0] != instance.d:
         raise ShapeError(f"x has length {x.shape[0]}, expected {instance.d}")

@@ -265,7 +265,7 @@ def test_07_accuracy_transfers_to_l1_penalty_queries():
 
 
 def test_08_single_row_coreset_counterexample():
-    mismatched = ObjectiveSpec(p=2, q=1, r=2, s=1, lam=1.0, family="custom")
+    mismatched = ObjectiveSpec(p=2, q=1, r=2, s=1, lam=1.0)
     core = Coreset(
         rows=np.array([[1.0, 0.0]]),
         weights=np.array([1.0]),

@@ -387,17 +387,25 @@ def _read_instance(path):
     return RegressionInstance(np.asarray(doc["design"]), np.asarray(doc["response"]))
 
 
-# scheme -> (extra flags, effective p, score builder on (instance, A'))
+# case -> (scheme, extra flags, effective p, score builder on (instance, A'))
 _SCHEMES = {
-    "uniform": ([], 2.0, lambda inst, ap: uniform_scores(inst.n)),
-    "leverage": ([], 2.0, lambda inst, ap: ridge_leverage_scores(inst, 0.0)),
-    "ridge-leverage": ([], 2.0, lambda inst, ap: ridge_leverage_scores(inst, 0.5)),
+    "uniform": ("uniform", [], 2.0, lambda inst, ap: uniform_scores(inst.n)),
+    # --p sets the scaling of every scheme but rlad: the CLI builds the
+    # harness's uniform RLAD column this way.
+    "uniform-p1": (
+        "uniform", ["--p", "1"], 1.0, lambda inst, ap: uniform_scores(inst.n)
+    ),
+    "ridge-leverage": (
+        "ridge-leverage", [], 2.0, lambda inst, ap: ridge_leverage_scores(inst, 0.5)
+    ),
     "lp-lp": (
+        "lp-lp",
         ["--p", "1.5"],
         1.5,
         lambda inst, ap: lp_lp_sensitivity_bounds(p_conditioned_basis(ap, 1.5), 0.5),
     ),
     "rlad": (
+        "rlad",
         [],
         1.0,
         lambda inst, ap: rlad_sensitivity_bounds(p_conditioned_basis(ap, 1.0), 0.5),
@@ -405,9 +413,9 @@ _SCHEMES = {
 }
 
 
-@pytest.mark.parametrize("scheme", sorted(_SCHEMES))
-def test_coreset_document_matches_library(ng_path, tmp_path, scheme):
-    flags, p, scores_for = _SCHEMES[scheme]
+@pytest.mark.parametrize("case", sorted(_SCHEMES))
+def test_coreset_document_matches_library(ng_path, tmp_path, case):
+    scheme, flags, p, scores_for = _SCHEMES[case]
     out = tmp_path / "core.json"
     argv = ["coreset", "--instance", ng_path, "--scheme", scheme, "--lambda", "0.5",
             "--size", "30", "--seed", "9", "--out", str(out), *flags]

@@ -86,7 +86,7 @@ def test_sampler_draws_what_generator_choice_draws(seed):
     live = np.arange(n) % 4 > 0  # every fourth row of [A b] is zero
     zero_rows = RegressionInstance(inst.design * live[:, None], inst.response * live)
     for scores in (
-        SensitivityScores(spiky, "brute_force", 0.0, 2.0),
+        SensitivityScores(spiky, "brute_force"),
         ridge_leverage_scores(zero_rows, 0.5),
     ):
         values = scores.values

@@ -17,7 +17,7 @@ from regcoreset.lowerbound import (
 )
 from regcoreset.objective import ObjectiveSpec
 
-MISMATCHED = ObjectiveSpec(p=2, q=1, r=2, s=1, lam=1.0, family="custom")
+MISMATCHED = ObjectiveSpec(p=2, q=1, r=2, s=1, lam=1.0)
 
 
 def _single_row_coreset() -> Coreset:

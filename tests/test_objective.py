@@ -15,29 +15,29 @@ def test_family_constructors_fix_exponents():
     assert (lp.p, lp.q, lp.r, lp.s) == (3.0, 3.0, 3.0, 3.0)
 
 
-def test_family_exponent_consistency_enforced():
-    with pytest.raises(ValueError):
-        ObjectiveSpec(p=2.0, q=2.0, r=2.0, s=2.0, lam=1.0, family="modified_lasso")
-    with pytest.raises(ValueError):
-        ObjectiveSpec(p=1.0, q=2.0, r=1.0, s=1.0, lam=0.0, family="rlad")
-    # custom places no constraint beyond validity
-    ObjectiveSpec(p=2.0, q=1.0, r=2.0, s=3.0, lam=1.0, family="custom")
+def test_specs_compare_by_exponents_and_lambda():
+    # A family name is shorthand for exponents; the spec keeps no trace of it.
+    assert ObjectiveSpec.rlad(0.5) == ObjectiveSpec.lp_lp(1.0, 0.5)
+    assert ObjectiveSpec.for_family("lp_lp", 1.0, p=2.0) == ObjectiveSpec.ridge(1.0)
+    spec = ObjectiveSpec(p=2.0, q=1.0, r=2.0, s=2.0, lam=0.5)
+    assert spec == ObjectiveSpec.modified_lasso(0.5)
+    assert ObjectiveSpec.lasso(0.5) != ObjectiveSpec.modified_lasso(0.5)
+    assert ObjectiveSpec.ridge(1.0) != ObjectiveSpec.ridge(2.0)
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        ObjectiveSpec(p=0.5, q=1.0, r=1.0, s=1.0, lam=0.0, family="custom")
+        ObjectiveSpec(p=0.5, q=1.0, r=1.0, s=1.0, lam=0.0)
     with pytest.raises(ValueError):
-        ObjectiveSpec(p=1.0, q=1.0, r=0.0, s=1.0, lam=0.0, family="custom")
+        ObjectiveSpec(p=1.0, q=1.0, r=0.0, s=1.0, lam=0.0)
     with pytest.raises(ValueError):
-        ObjectiveSpec(p=1.0, q=1.0, r=1.0, s=1.0, lam=-0.1, family="custom")
-    with pytest.raises(ValueError):
-        ObjectiveSpec(p=2.0, q=2.0, r=2.0, s=2.0, lam=0.0, family="no_such_family")
+        ObjectiveSpec(p=1.0, q=1.0, r=1.0, s=1.0, lam=-0.1)
 
 
 def test_for_family_dispatch():
     assert ObjectiveSpec.for_family("ridge", 2.0) == ObjectiveSpec.ridge(2.0)
     assert ObjectiveSpec.for_family("rlad", 0.0) == ObjectiveSpec.rlad(0.0)
     assert ObjectiveSpec.for_family("lp_lp", 0.1, p=1.5) == ObjectiveSpec.lp_lp(1.5, 0.1)
-    with pytest.raises(ValueError):
-        ObjectiveSpec.for_family("custom", 1.0)
+    for unknown in ("custom", "multiresponse_rlad", "no_such_family"):
+        with pytest.raises(ValueError, match="unknown family"):
+            ObjectiveSpec.for_family(unknown, 1.0)

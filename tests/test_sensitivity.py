@@ -36,19 +36,15 @@ from regcoreset.sensitivity import (
 
 def test_scores_validation():
     with pytest.raises(InvalidScoresError):
-        SensitivityScores(values=np.array([0.5, -0.1]), scheme="uniform", lam=0.0, p=2.0)
+        SensitivityScores(values=np.array([0.5, -0.1]), scheme="uniform")
     with pytest.raises(InvalidScoresError):
-        SensitivityScores(values=np.array([0.0, 0.0]), scheme="uniform", lam=0.0, p=2.0)
+        SensitivityScores(values=np.array([0.0, 0.0]), scheme="uniform")
     with pytest.raises(InvalidScoresError):
-        SensitivityScores(values=np.array([[0.5]]), scheme="uniform", lam=0.0, p=2.0)
+        SensitivityScores(values=np.array([[0.5]]), scheme="uniform")
     with pytest.raises(InvalidScoresError):
-        SensitivityScores(values=np.array([0.5]), scheme="made_up", lam=0.0, p=2.0)
+        SensitivityScores(values=np.array([0.5]), scheme="made_up")
     with pytest.raises(InvalidScoresError):
-        SensitivityScores(values=np.array([0.5]), scheme="uniform", lam=-1.0, p=2.0)
-    with pytest.raises(InvalidScoresError):
-        SensitivityScores(
-            values=np.array([0.5, 0.5]), scheme="uniform", lam=0.0, p=2.0, total=2.0
-        )
+        SensitivityScores(values=np.array([0.5, 0.5]), scheme="uniform", total=2.0)
 
 
 def test_uniform_scores():

@@ -55,9 +55,6 @@ def test_evaluate_objective_validation():
     inst = _instance(0, 5, 2)
     with pytest.raises(ShapeError):
         evaluate_objective(inst, np.zeros(3), ObjectiveSpec.ridge(1.0))
-    spec = ObjectiveSpec(p=1, q=1, r=1, s=1, lam=0.5, family="multiresponse_rlad")
-    with pytest.raises(ValueError):
-        evaluate_objective(inst, np.zeros(2), spec)
 
 
 def test_multiresponse_objective_separates():
@@ -479,7 +476,7 @@ _SQUARED_LOSS_SPECS = {
     "ridge": ObjectiveSpec.ridge,
     "lasso": ObjectiveSpec.lasso,
     "modified_lasso": ObjectiveSpec.modified_lasso,
-    "custom": lambda lam: ObjectiveSpec(p=2, q=1.5, r=2, s=3, lam=lam, family="custom"),
+    "custom": lambda lam: ObjectiveSpec(p=2, q=1.5, r=2, s=3, lam=lam),
 }
 
 

@@ -101,3 +101,68 @@ def test_benchmark_hooks_resolve():
                 }
             assert attr in bound[module], f"{module_name} does not bind {attr}"
             assert attr in read[module], f"{module_name} never reads {attr} by name"
+
+
+def _loads_at_definition(tree: ast.AST) -> list:
+    """Name loads that run when their module or an enclosing def is executed.
+
+    Only function and lambda bodies wait for a call.  A load at module or
+    class level, in a default argument, a decorator or an annotation captures
+    whatever the name holds at that moment.
+    """
+    found = []
+
+    def visit(node, in_body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            for child in ast.iter_child_nodes(node):
+                visit(child, child in body)
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not in_body:
+            found.append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_body)
+
+    visit(tree, False)
+    return found
+
+
+def test_loads_at_definition_catch_captured_functions():
+    captured = {
+        "module-level table": "TABLE = {'ridge': solve_ridge}",
+        "class attribute": "class C:\n    solver = solve_ridge",
+        "default argument": "def f(solve=solve_ridge):\n    return solve()",
+        "lambda default": "g = lambda solve=solve_ridge: solve()",
+        "decorator": "@solve_ridge\ndef f():\n    pass",
+        "default of a nested def": "def f():\n    def g(s=solve_ridge):\n        pass",
+    }
+    for what, source in captured.items():
+        names = [n.id for n in _loads_at_definition(ast.parse(source))]
+        assert "solve_ridge" in names, what
+    deferred = (
+        "def f():\n    return {'ridge': solve_ridge}['ridge']()",
+        "g = lambda: solve_ridge()",
+        "class C:\n    def f(self):\n        return solve_ridge()",
+    )
+    for source in deferred:
+        assert _loads_at_definition(ast.parse(source)) == [], source
+
+
+def test_benchmark_hooks_are_looked_up_when_called():
+    # The benchmark replaces a hooked name after the package is imported, so
+    # a reference taken earlier (a dispatch table, a default argument) keeps
+    # calling the unwrapped function and its calls are never recorded.
+    hooked = {}
+    for hooks in _benchmark_hooks().values():
+        for module_name, attr, *_ in hooks:
+            hooked.setdefault(module_name.partition(".")[2], set()).add(attr)
+    early = {}
+    for module, attrs in sorted(hooked.items()):
+        tree = ast.parse((_PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        lines = [
+            f"{node.id}:{node.lineno}"
+            for node in _loads_at_definition(tree) if node.id in attrs
+        ]
+        if lines:
+            early[module] = lines
+    assert early == {}
