@@ -167,7 +167,10 @@ def _cmd_coreset(args) -> int:
         )
     p = 1.0 if args.scheme == "rlad" else args.p
     core = build_coreset(instance, scores, r, p, args.seed)
-    payload = {"config": _config(args, p=p), "coreset": core.to_dict()}
+    config = _config(args, p=p)
+    if args.scheme == "uniform":
+        del config["lambda"]  # uniform scores do not read it
+    payload = {"config": config, "coreset": core.to_dict()}
     _write(canonical_json(payload), args.out)
     return 0
 
@@ -197,8 +200,6 @@ def _cmd_solve(args) -> int:
         result = solve_lp_lp(
             instance, args.p, args.lam, tol=args.tol, max_iter=args.max_iter
         )
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
     payload = {
         "config": _config(args, p=spec.p),
         "solution": result.solution.tolist(),

@@ -240,23 +240,38 @@ def load_csv(path, target_column: str, normalize: bool = True) -> RegressionInst
     return RegressionInstance(features, response)
 
 
+# The last synthetic instance built, keyed by the fields that generate it.
+_INSTANCE_SLOT: dict = {}
+
+
 def build_experiment_instance(
     config: ExperimentConfig,
 ) -> tuple[RegressionInstance, np.ndarray | None]:
-    """Synthesize the NG instance, or load the configured CSV."""
+    """Synthesize the NG instance, or load the configured CSV.
+
+    A synthetic instance is kept in a one-slot memo keyed by (n, d,
+    ng_alpha, noise_scale, master_seed): a call with the same fields returns
+    the same instance, so its cached squared-loss factor serves every table
+    built on it.  A call with other fields empties the slot before building,
+    so at most one instance is held.  The returned arrays, x_true included,
+    are read-only.  A CSV file is read again on every call.
+    """
     if config.csv_path is not None:
         if config.target_column is None:
             raise ValueError("csv_path requires target_column")
         return load_csv(config.csv_path, config.target_column, config.normalize), None
-    A = generate_ng_matrix(
-        config.n, config.d, config.ng_alpha, mix_seed(config.master_seed, _TAG_DATA)
-    )
-    x_true = np.random.default_rng(
-        mix_seed(config.master_seed, _TAG_XTRUE)
-    ).standard_normal(config.d)
-    b = generate_response(
-        A, x_true, config.noise_scale, mix_seed(config.master_seed, _TAG_NOISE)
-    )
+    key = (config.n, config.d, config.ng_alpha, config.noise_scale, config.master_seed)
+    if key not in _INSTANCE_SLOT:
+        _INSTANCE_SLOT.clear()  # drop the old instance before the new one is built
+        _INSTANCE_SLOT[key] = _build_ng_instance(*key)
+    return _INSTANCE_SLOT[key]
+
+
+def _build_ng_instance(n, d, ng_alpha, noise_scale, master_seed):
+    A = generate_ng_matrix(n, d, ng_alpha, mix_seed(master_seed, _TAG_DATA))
+    x_true = np.random.default_rng(mix_seed(master_seed, _TAG_XTRUE)).standard_normal(d)
+    x_true.flags.writeable = False
+    b = generate_response(A, x_true, noise_scale, mix_seed(master_seed, _TAG_NOISE))
     return RegressionInstance(A, b), x_true
 
 

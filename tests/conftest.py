@@ -5,6 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
+from regcoreset import experiments
+
+
+@pytest.fixture(autouse=True)
+def _empty_instance_slot(monkeypatch):
+    """Every test starts with no memoized experiment instance.
+
+    Counts of instance builds and n-row factorizations then do not depend on
+    which test built the same instance before.
+    """
+    monkeypatch.setattr(experiments, "_INSTANCE_SLOT", {})
+
 
 def _l1_vertex_minimum(instance, lam: float) -> float:
     """Exact min of ||Ax - b||_1 + lam*||x||_1 by enumerating vertices.

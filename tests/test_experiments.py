@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import statistics
+import weakref
 
 import numpy as np
 import pytest
@@ -174,7 +175,9 @@ def test_load_csv_keeps_zero_columns(tmp_path):
 def test_build_instance_deterministic():
     config = _small_config()
     a1, x1 = build_experiment_instance(config)
+    experiments._INSTANCE_SLOT.clear()  # the second call builds its own
     a2, x2 = build_experiment_instance(config)
+    assert a1 is not a2
     assert np.array_equal(a1.design, a2.design)
     assert np.array_equal(a1.response, a2.response)
     assert np.array_equal(x1, x2)
@@ -196,6 +199,7 @@ def test_relative_error_table_structure():
 def test_relative_error_runs_are_byte_identical():
     config = _small_config(schemes=("uniform", "ridge_leverage"))
     first = run_relative_error_experiment(config)
+    experiments._INSTANCE_SLOT.clear()  # the second run builds its own instance
     second = run_relative_error_experiment(config)
     for fmt in ("json", "csv"):
         assert emit_report(first, fmt) == emit_report(second, fmt)
@@ -257,6 +261,82 @@ def test_l2_table_takes_no_n_row_svd(monkeypatch):
     run_relative_error_experiment(config)
     assert sum(n_row_svds) == 0
     assert sum(n_row_qrs) == 1
+
+
+def test_l2_tables_of_one_seed_share_one_build_and_one_qr(monkeypatch):
+    # The size table, the lambda sweep and the sparsity profile differ only
+    # in fields that do not generate the instance, so the memo serves all
+    # three: one NG build and one n-row QR in total, not three of each.
+    n = 2000
+    builds, n_row_qrs = [], []
+    generate, qr = experiments.generate_ng_matrix, np.linalg.qr
+
+    def counting_generate(*args, **kwargs):
+        builds.append(args)
+        return generate(*args, **kwargs)
+
+    def counting_qr(M, *args, **kwargs):
+        n_row_qrs.append(np.shape(M)[0] == n)
+        return qr(M, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "generate_ng_matrix", counting_generate)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    same = dict(n=n, d=30, objective_family="modified_lasso", master_seed=2)
+    l2 = ("ridge_leverage", "uniform")
+    run_relative_error_experiment(
+        _small_config(lambda_grid=(0.5,), sample_sizes=(30, 100), schemes=l2, **same)
+    )
+    run_relative_error_experiment(
+        _small_config(lambda_grid=(0.1, 5.0), sample_sizes=(100,), schemes=l2, **same)
+    )
+    run_sparsity_experiment(
+        _small_config(lambda_grid=(0.0, 1.0), sample_sizes=(30,), schemes=("uniform",),
+                      **same)
+    )
+    assert len(builds) == 1
+    assert sum(n_row_qrs) == 1
+
+
+def test_another_instance_evicts_the_memoized_one(monkeypatch):
+    # The slot is emptied before the next instance is built, so two of them
+    # are never held at once.
+    first, _ = build_experiment_instance(_small_config(master_seed=1))
+    assert build_experiment_instance(_small_config(master_seed=1))[0] is first
+    old = weakref.ref(first)
+    del first
+    alive_at_build = []
+    generate = experiments.generate_ng_matrix
+
+    def recording_generate(*args, **kwargs):
+        alive_at_build.append(old() is not None)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "generate_ng_matrix", recording_generate)
+    build_experiment_instance(_small_config(master_seed=2))
+    assert alive_at_build == [False]
+    assert old() is None
+
+
+def test_memoized_x_true_is_read_only():
+    _, x_true = build_experiment_instance(_small_config())
+    with pytest.raises(ValueError, match="read-only"):
+        x_true[0] = 0.0
+    _, again = build_experiment_instance(_small_config())
+    assert again is x_true
+
+
+def test_csv_config_rereads_its_file(tmp_path):
+    path = tmp_path / "data.csv"
+    config = _small_config(n=2, d=2, csv_path=str(path), target_column="y",
+                           normalize=False)
+    path.write_text("a,y\n1,2\n3,4\n")
+    first, x_true = build_experiment_instance(config)
+    path.write_text("a,y\n5,6\n7,8\n")
+    second, _ = build_experiment_instance(config)
+    assert x_true is None
+    assert first.design.tolist() == [[1.0], [3.0]]
+    assert second.design.tolist() == [[5.0], [7.0]]
+    assert second.response.tolist() == [6.0, 8.0]
 
 
 def test_rlad_basis_is_built_once_per_run(monkeypatch):

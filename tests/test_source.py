@@ -166,3 +166,38 @@ def test_benchmark_hooks_are_looked_up_when_called():
         if lines:
             early[module] = lines
     assert early == {}
+
+
+def _readers(tree: ast.AST, name: str) -> list:
+    """The innermost enclosing def of every read of `name`, bare or as attribute."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Lambda):
+            scope = "<lambda>"
+        if (isinstance(node, ast.Name) and node.id == name
+                and isinstance(node.ctx, ast.Load)) or (
+                isinstance(node, ast.Attribute) and node.attr == name):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_ng_instances_are_built_only_through_the_hooked_name():
+    # The benchmark marks full-data solves by identity with what
+    # build_experiment_instance returns; a harness that reaches the private
+    # builder another way solves an instance the benchmark never saw, which
+    # stops the benchmark instead of failing here.
+    readers = {
+        path.name: _readers(ast.parse(path.read_text(encoding="utf-8")),
+                            "_build_ng_instance")
+        for path in sorted(_PACKAGE.glob("*.py"))
+    }
+    assert {name: found for name, found in readers.items() if found} == {
+        "experiments.py": ["build_experiment_instance"]
+    }
