@@ -79,7 +79,6 @@ from .solvers import (
     SolverResult,
     evaluate_objective,
     multiresponse_rlad_objective,
-    prox_squared_l1,
     solve_lasso,
     solve_lp_lp,
     solve_modified_lasso,

@@ -89,33 +89,21 @@ def _load_instance(path: str) -> RegressionInstance:
     return RegressionInstance(doc["design"], doc["response"])
 
 
-def _load_coreset(path: str, p: float, objective: str) -> Coreset:
-    """Read a bare or provenance-wrapped coreset document.
-
-    Rows are pre-scaled by weight^(1/p), so a wrapped coreset whose recorded
-    p differs from the loss exponent p of the objective, named in the error,
-    would weight its rows wrongly.
-    """
+def _load_coreset(path: str) -> Coreset:
+    """Read a bare or provenance-wrapped coreset document."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"coreset file {path} does not hold a JSON object")
-    config = doc.get("config")
-    built_p = config.get("p") if isinstance(config, dict) else None
-    if built_p is not None and built_p != p:
-        raise ValueError(
-            f"coreset {path} was scaled for p={built_p}, but {objective} "
-            f"has loss exponent p={p}"
-        )
     return Coreset.from_dict(doc.get("coreset", doc))
 
 
-def _config(args, **worked_out) -> dict:
-    """The command's arguments, with the values it worked out from them."""
+def _config(args, *ignored, **worked_out) -> dict:
+    """The command's arguments less the ignored ones, with the values it worked out."""
     config = {
         "lambda" if key == "lam" else key: value
         for key, value in vars(args).items()
-        if key not in ("command", "func", "out")
+        if key not in ("command", "func", "out", *ignored)
     }
     config.update(worked_out, subcommand=args.command)
     return config
@@ -165,12 +153,13 @@ def _cmd_coreset(args) -> int:
         r = sample_size(
             scores.total, args.epsilon, args.delta, instance.d + 1, args.constant
         )
-    p = 1.0 if args.scheme == "rlad" else args.p
-    core = build_coreset(instance, scores, r, p, args.seed)
-    config = _config(args, p=p)
+    core = build_coreset(instance, scores, r, args.seed)
+    ignored = [] if args.scheme == "lp-lp" else ["p"]  # only the lp-lp bounds read it
     if args.scheme == "uniform":
-        del config["lambda"]  # uniform scores do not read it
-    payload = {"config": config, "coreset": core.to_dict()}
+        ignored.append("lam")  # uniform scores do not read it
+    if args.size is not None:
+        ignored += ["epsilon", "delta", "constant"]  # only --epsilon sizing reads them
+    payload = {"config": _config(args, *ignored), "coreset": core.to_dict()}
     _write(canonical_json(payload), args.out)
     return 0
 
@@ -183,9 +172,7 @@ def _cmd_solve(args) -> int:
     if args.instance is not None:
         instance = _load_instance(args.instance)
     else:
-        instance = _load_coreset(
-            args.coreset, spec.p, f"family {args.family!r}"
-        ).as_instance()
+        instance = _load_coreset(args.coreset).as_instance(spec.p)
     if args.family == "ridge":
         result = solve_ridge(instance, args.lam)
     elif args.family == "lasso":
@@ -200,8 +187,9 @@ def _cmd_solve(args) -> int:
         result = solve_lp_lp(
             instance, args.p, args.lam, tol=args.tol, max_iter=args.max_iter
         )
+    ignored = ["tol", "max_iter"] if args.family == "ridge" else []  # closed form
     payload = {
-        "config": _config(args, p=spec.p),
+        "config": _config(args, *ignored, p=spec.p),
         "solution": result.solution.tolist(),
         "objective_value": result.objective_value,
         "iterations": result.iterations,
@@ -220,7 +208,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--queries must be >= 1, got {args.queries}")
     instance = _load_instance(args.instance)
     spec = ObjectiveSpec.for_family(args.family, args.lam, p=args.p)
-    core = _load_coreset(args.coreset, spec.p, f"family {args.family!r}")
+    core = _load_coreset(args.coreset)
     rng = np.random.default_rng(mix_seed(args.seed, _TAG_QUERIES))
     queries = list(rng.standard_normal((args.queries, instance.d)))
     report = verify_coreset(instance, core, spec, queries, args.epsilon)
@@ -286,7 +274,7 @@ def _cmd_lowerbound(args) -> int:
     else:
         aprime = np.eye(2)  # canonical demonstration matrix
     if args.coreset is not None:
-        core = _load_coreset(args.coreset, spec.p, "the objective")
+        core = _load_coreset(args.coreset)
     else:
         core = Coreset(
             rows=np.array([[1.0, 0.0]]),

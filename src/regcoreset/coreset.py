@@ -4,9 +4,10 @@ A coreset is r rows drawn i.i.d. with replacement with probability s_i / S
 (S the score total), each kept row carrying weight S / (r * s_i).  The r
 draws search the CDF the scores build once (SensitivityScores.cdf) for r
 uniform numbers, as Generator.choice(p=s / S) does, so they pick the rows
-choice would for the same seed in O(r log n).  Rows are stored in
-augmented [A  b] form pre-scaled by weight^(1/p), so the coreset is itself
-an ordinary regression instance for any p-norm loss.
+choice would for the same seed in O(r log n).  A coreset stores the drawn
+rows of [A  b] as they are, next to their weights, so one draw serves every
+loss exponent: as_instance(p) scales row k by w_k^(1/p), which makes the
+p-norm loss of the plain instance it returns sum_k w_k |a'_k x'|^p.
 """
 
 from __future__ import annotations
@@ -58,9 +59,11 @@ def sample_size(
 
 @dataclass(frozen=True)
 class Coreset:
-    """Pre-scaled augmented rows with sampling provenance.
+    """Sampled rows of [A  b], their weights and their provenance.
 
-    to_dict gives the document the CLI writes; from_dict reads it back.
+    The rows are stored unweighted; as_instance(p) applies the weights for
+    one loss exponent.  to_dict gives the document the CLI writes, with the
+    rows under "sampled_rows"; from_dict reads it back.
     """
 
     rows: np.ndarray
@@ -90,9 +93,15 @@ class Coreset:
     def d(self) -> int:
         return self.rows.shape[1] - 1
 
-    def as_instance(self) -> RegressionInstance:
-        """View the scaled rows as a plain (possibly short) instance."""
-        return RegressionInstance(self.rows[:, :-1], self.rows[:, -1])
+    def as_instance(self, p: float) -> RegressionInstance:
+        """The rows times weight^(1/p), as a plain (possibly short) instance.
+
+        Its p-norm loss is the weighted loss sum_k w_k |a'_k x'|^p.
+        """
+        if not p >= 1:
+            raise ValueError(f"p must be >= 1, got {p}")
+        scaled = self.rows * self.weights[:, None] ** (1.0 / p)
+        return RegressionInstance(scaled[:, :-1], scaled[:, -1])
 
     def to_dict(self) -> dict:
         """The document form: plain lists, rows flattened row-major."""
@@ -104,7 +113,7 @@ class Coreset:
             "scheme": self.scheme,
             "source_indices": self.source_indices.tolist(),
             "weights": self.weights.tolist(),
-            "rows": self.rows.ravel().tolist(),
+            "sampled_rows": self.rows.ravel().tolist(),
         }
 
     @classmethod
@@ -112,15 +121,15 @@ class Coreset:
         """Inverse of to_dict, also after a JSON round trip."""
         if not isinstance(doc, dict):
             raise ValueError("a coreset document must be a JSON object")
-        required = {"n", "d", "r", "seed", "scheme", "source_indices", "weights", "rows"}
+        required = {"n", "d", "r", "seed", "scheme", "source_indices", "weights", "sampled_rows"}
         missing = required - doc.keys()
         if missing:
             raise ValueError(f"coreset document missing keys: {sorted(missing)}")
         r, d = int(doc["r"]), int(doc["d"])
-        rows = np.asarray(doc["rows"], dtype=float)
+        rows = np.asarray(doc["sampled_rows"], dtype=float)
         if rows.size != r * (d + 1):
             raise ShapeError(
-                f"rows payload has {rows.size} entries, expected {r * (d + 1)}"
+                f"sampled_rows payload has {rows.size} entries, expected {r * (d + 1)}"
             )
         return cls(
             rows=rows.reshape(r, d + 1),
@@ -136,14 +145,11 @@ def build_coreset(
     instance: RegressionInstance,
     scores: SensitivityScores,
     r: int,
-    p: float,
     seed: int,
 ) -> Coreset:
-    """Draw r rows with probability s_i / S and scale by (S/(r*s_i))^(1/p)."""
+    """Draw r rows with probability s_i / S, each with weight S / (r * s_i)."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     if scores.n != instance.n:
         raise InvalidScoresError(
             f"scores cover {scores.n} rows but instance has {instance.n}"
@@ -151,9 +157,8 @@ def build_coreset(
     idx = scores.cdf.searchsorted(np.random.default_rng(seed).random(r), side="right")
     weights = scores.total / (r * scores.values[idx])
     kept = RegressionInstance(instance.design[idx], instance.response[idx])
-    rows = augment(kept) * weights[:, None] ** (1.0 / p)
     return Coreset(
-        rows=rows,
+        rows=augment(kept),
         weights=weights,
         source_indices=idx,
         seed=seed,
@@ -207,7 +212,7 @@ def _deviations(
     queries: list,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Relative deviation per query, with a mask of degenerate (F = 0) ones."""
-    surrogate = coreset.as_instance()
+    surrogate = coreset.as_instance(spec.p)
     devs = np.zeros(len(queries))
     degenerate = np.zeros(len(queries), dtype=bool)
     for i, x in enumerate(queries):

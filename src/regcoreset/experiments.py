@@ -318,6 +318,7 @@ def run_relative_error_experiment(
     spec_for = {
         lam: ObjectiveSpec.for_family(family, lam) for lam in config.lambda_grid
     }
+    p = spec_for[config.lambda_grid[0]].p  # the loss exponent, the same at every lambda
 
     full_values = {}
     for lam in config.lambda_grid:
@@ -341,7 +342,7 @@ def run_relative_error_experiment(
     # Every identity trial solves this one instance, factored at most once.
     # It is a separate object from `instance`, the full data.
     if "identity" in config.schemes:
-        identity_instance = identity_coreset(instance).as_instance()
+        identity_instance = identity_coreset(instance).as_instance(p)
 
     row_labels, cells, trials = [], [], []
     for zi, size in enumerate(config.sample_sizes):
@@ -356,8 +357,8 @@ def run_relative_error_experiment(
                         core_instance = identity_instance
                     else:
                         core_instance = build_coreset(
-                            instance, scores[(si, li)], size, spec_for[lam].p, seed
-                        ).as_instance()
+                            instance, scores[(si, li)], size, seed
+                        ).as_instance(p)
                     sub = _solve(family, core_instance, lam)
                     v2 = evaluate_objective(instance, sub.solution, spec_for[lam])
                     reports.append(

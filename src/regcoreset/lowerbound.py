@@ -16,7 +16,7 @@ import numpy as np
 
 from .coreset import Coreset
 from .errors import ShapeError, TheoremInapplicableError
-from .linalg import as_matrix
+from .linalg import as_matrix, augment
 from .objective import ObjectiveSpec
 from .solvers import _objective
 
@@ -76,8 +76,9 @@ def find_unregularized_violation(
 ) -> ViolationProbe | None:
     """Search for x with ||Cx||_p^r outside (1 +/- eps) * ||A'x||_p^r.
 
-    Candidates are seeded random unit directions plus the right singular
-    vectors of A' (which expose directions the sampled rows miss entirely).
+    C is the coreset's rows weighted for the loss exponent p.  Candidates are
+    seeded random unit directions plus the right singular vectors of A'
+    (which expose directions the sampled rows miss entirely).
     Returns the probe with the largest deviation epsilon', or None when every
     candidate is preserved within epsilon.
     """
@@ -98,9 +99,10 @@ def find_unregularized_violation(
     if aprime.shape[0] >= m:
         _, _, vt = np.linalg.svd(aprime, full_matrices=False)
         candidates = np.vstack([candidates, vt])
+    weighted = augment(coreset.as_instance(p))
     best: ViolationProbe | None = None
     for x in candidates:
-        ratio = _loss_ratio(aprime, coreset.rows, x, p, r)
+        ratio = _loss_ratio(aprime, weighted, x, p, r)
         if ratio is None:
             continue
         if ratio > 1.0 + epsilon:
@@ -196,7 +198,8 @@ def demonstrate_violation(
         epsilon, probe.epsilon_prime, spec.lam, norm_loss, norm_pen, spec.r, spec.s
     )
     y = alpha * x
-    ratio = _objective(coreset.rows @ y, y, spec) / _objective(aprime @ y, y, spec)
+    weighted = augment(coreset.as_instance(spec.p))
+    ratio = _objective(weighted @ y, y, spec) / _objective(aprime @ y, y, spec)
     band = (epsilon + probe.epsilon_prime) / 2.0
     if probe.direction == OVERSHOOT and not ratio > 1.0 + band:
         raise AssertionError(

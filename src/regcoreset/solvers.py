@@ -108,25 +108,6 @@ def sparsity_count(x, threshold: float = 1e-6) -> int:
     return int(np.sum(np.abs(as_vector(x, "x")) < threshold))
 
 
-def prox_squared_l1(v, t: float) -> np.ndarray:
-    """argmin_x 0.5*||x - v||_2^2 + t*||x||_1^2, computed by sorting.
-
-    The active set consists of the largest magnitudes; with S_k the sum of the
-    k largest |v_i|, the shared shift is theta_k = 2t*S_k / (1 + 2t*k) and the
-    answer soft-thresholds v at the theta of the last self-consistent k.
-    """
-    v = as_vector(v, "v")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0 or not np.any(v):
-        return v.copy()
-    mags = np.sort(np.abs(v))[::-1]
-    k = np.arange(1, v.size + 1)
-    theta = 2.0 * t * np.cumsum(mags) / (1.0 + 2.0 * t * k)
-    shift = theta[max(int(np.count_nonzero(mags > theta)) - 1, 0)]
-    return np.sign(v) * np.maximum(np.abs(v) - shift, 0.0)
-
-
 def solve_ridge(instance: RegressionInstance, lam: float) -> SolverResult:
     """x = V diag(sigma / (sigma^2 + lam)) U^T c via the SVD of R.
 

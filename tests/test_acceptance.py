@@ -41,7 +41,6 @@ from regcoreset.sensitivity import (
 )
 from regcoreset.solvers import (
     evaluate_objective,
-    prox_squared_l1,
     solve_lasso,
     solve_lp_lp,
     solve_modified_lasso,
@@ -50,6 +49,20 @@ from regcoreset.solvers import (
 )
 
 MASTER_SEED = 2
+
+# sha256 of the seed-2 reports whose bytes do not depend on the BLAS thread
+# count (they match at 1 and 2 OpenBLAS threads); the relative-error JSONs
+# differ between thread counts in their last digits, so they are not pinned.
+PINNED_SHA256 = {
+    "leverage/csv": "d0b8c12a6c087ce730396b86de872a0ef8f55d9df2f83d9c9efe614c31ab915c",
+    "lambda-sweep/csv": "72373ea44db6b597b7f2fe374e6eea32916d395c3aac0f23fe0cd10a61a799f8",
+    "rlad/csv": "d37ff41aa1681a14f4db5ffd2441e5d0c3ddc4dab420dfc87b35ebb78a63ca2b",
+    "sparsity/json": "86d44248d0a95f781b2773b9e6018f664882f56074051f4c92bc217daf8190f8",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -172,18 +185,20 @@ def test_04_sparsity_profile_across_lambda():
         a <= b for name in ("lasso", "modified_lasso")
         for a, b in zip(rows[name], rows[name][1:])
     )
+    digest = _sha256(emit_report(table, "json"))
     ok = (
         nondecreasing
         and rows["lasso"][-1] >= config.d / 2
         and rows["modified_lasso"][-1] >= config.d / 2
         and all(v == 0 for v in rows["ridge"])
+        and digest == PINNED_SHA256["sparsity/json"]
     )
     _verdict(
         "zero-count growth under l1-style penalties",
         ok,
         f"lasso {[int(v) for v in rows['lasso']]}, "
         f"modified {[int(v) for v in rows['modified_lasso']]}, "
-        f"ridge {[int(v) for v in rows['ridge']]}",
+        f"ridge {[int(v) for v in rows['ridge']]}, report sha256 {digest}",
     )
 
 
@@ -247,7 +262,7 @@ def test_07_accuracy_transfers_to_l1_penalty_queries():
         response = design @ rng.standard_normal(5) + 0.1 * rng.standard_normal(500)
         inst = RegressionInstance(design, response)
         scores = ridge_leverage_scores(inst, 0.5)
-        core = build_coreset(inst, scores, 150, 2.0, seed=i)
+        core = build_coreset(inst, scores, 150, seed=i)
         qrng = np.random.default_rng(7100 + i)
         queries = qrng.standard_normal((500, 5)) * qrng.uniform(
             0.1, 5.0, size=(500, 1)
@@ -306,7 +321,8 @@ def test_09_solver_oracle_equivalences(l1_vertex_minimum):
         RegressionInstance(np.eye(2), np.array([3.0, 0.5])), 2.0
     )
     checks.append(np.allclose(lasso.solution, [2.0, 0.0], atol=1e-8))
-    checks.append(abs(prox_squared_l1(np.array([3.0]), 0.5)[0] - 1.5) < 1e-12)
+    squared_l1 = solve_modified_lasso(RegressionInstance([[1.0]], [3.0]), 1.0)
+    checks.append(abs(squared_l1.solution[0] - 1.5) < 1e-12)
     median = solve_rlad(
         RegressionInstance(np.ones((3, 1)), np.array([1.0, 2.0, 9.0])), 0.0, tol=1e-8
     )
@@ -354,14 +370,14 @@ def test_10_coreset_optimum_is_near_optimal_on_full_data():
         family = "ridge" if i % 2 == 0 else "modified_lasso"
         spec = ObjectiveSpec.for_family(family, lam)
         scores = ridge_leverage_scores(inst, lam)
-        core = build_coreset(inst, scores, 150, 2.0, seed=100 + i)
+        core = build_coreset(inst, scores, 150, seed=100 + i)
         if family == "ridge":
             x_full = solve_ridge(inst, lam).solution
-            x_core = solve_ridge(core.as_instance(), lam).solution
+            x_core = solve_ridge(core.as_instance(2.0), lam).solution
         else:
             x_full = solve_modified_lasso(inst, lam, tol=1e-9, max_iter=50_000).solution
             x_core = solve_modified_lasso(
-                core.as_instance(), lam, tol=1e-7, max_iter=200_000
+                core.as_instance(2.0), lam, tol=1e-7, max_iter=200_000
             ).solution
         qrng = np.random.default_rng(8100 + i)
         queries = list(qrng.standard_normal((200, 5))) + [x_full, x_core]
@@ -382,7 +398,7 @@ def test_10_coreset_optimum_is_near_optimal_on_full_data():
 
 
 def test_11_reports_reproduce_trial_by_trial(leverage_run, lambda_sweep_run, rlad_run):
-    mismatches, digests = [], []
+    mismatches, digests, changed = [], [], []
     for name, run in (
         ("leverage", leverage_run),
         ("lambda-sweep", lambda_sweep_run),
@@ -399,12 +415,16 @@ def test_11_reports_reproduce_trial_by_trial(leverage_run, lambda_sweep_run, rla
         if full != rerun:
             mismatches.append(name)
         for fmt in ("json", "csv"):
-            text = emit_report(run["one"], fmt)
-            digests.append(f"{name}/{fmt} {hashlib.sha256(text.encode()).hexdigest()}")
-    ok = not mismatches
+            key, digest = f"{name}/{fmt}", _sha256(emit_report(run["one"], fmt))
+            digests.append(f"{key} {digest}")
+            if PINNED_SHA256.get(key, digest) != digest:
+                changed.append(key)
+    ok = not mismatches and not changed
     _verdict(
-        "one-trial reruns reproduce trial 0 of every cell",
+        "one-trial reruns reproduce trial 0 of every cell; pinned reports keep their bytes",
         ok,
-        ("all cells of the three benchmark configs match; " if ok
-         else f"mismatches: {mismatches}; ") + "report sha256 " + ", ".join(digests),
+        ("all cells of the three benchmark configs match; " if not mismatches
+         else f"mismatches: {mismatches}; ")
+        + (f"pinned reports changed: {changed}; " if changed else "")
+        + "report sha256 " + ", ".join(digests),
     )

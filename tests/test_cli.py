@@ -178,7 +178,10 @@ def test_coreset_epsilon_sizing(tmp_path):
     assert code == 0
     doc = json.loads(core_path.read_text())
     assert doc["coreset"]["r"] >= 1
-    assert doc["config"]["epsilon"] == 0.5
+    assert doc["config"] == {
+        "subcommand": "coreset", "instance": str(inst_path), "scheme": "uniform",
+        "size": None, "epsilon": 0.5, "delta": 0.1, "constant": 0.5, "seed": 0,
+    }
 
 
 def test_verify_identity_coreset(tmp_path, capsys):
@@ -387,27 +390,16 @@ def _read_instance(path):
     return RegressionInstance(np.asarray(doc["design"]), np.asarray(doc["response"]))
 
 
-# case -> (scheme, extra flags, effective p, score builder on (instance, A'))
+# scheme -> (extra flags, score builder on (instance, A'))
 _SCHEMES = {
-    "uniform": ("uniform", [], 2.0, lambda inst, ap: uniform_scores(inst.n)),
-    # --p sets the scaling of every scheme but rlad: the CLI builds the
-    # harness's uniform RLAD column this way.
-    "uniform-p1": (
-        "uniform", ["--p", "1"], 1.0, lambda inst, ap: uniform_scores(inst.n)
-    ),
-    "ridge-leverage": (
-        "ridge-leverage", [], 2.0, lambda inst, ap: ridge_leverage_scores(inst, 0.5)
-    ),
+    "uniform": ([], lambda inst, ap: uniform_scores(inst.n)),
+    "ridge-leverage": ([], lambda inst, ap: ridge_leverage_scores(inst, 0.5)),
     "lp-lp": (
-        "lp-lp",
         ["--p", "1.5"],
-        1.5,
         lambda inst, ap: lp_lp_sensitivity_bounds(p_conditioned_basis(ap, 1.5), 0.5),
     ),
     "rlad": (
-        "rlad",
         [],
-        1.0,
         lambda inst, ap: rlad_sensitivity_bounds(p_conditioned_basis(ap, 1.0), 0.5),
     ),
 }
@@ -415,23 +407,27 @@ _SCHEMES = {
 
 @pytest.mark.parametrize("case", sorted(_SCHEMES))
 def test_coreset_document_matches_library(ng_path, tmp_path, case):
-    scheme, flags, p, scores_for = _SCHEMES[case]
+    flags, scores_for = _SCHEMES[case]
     out = tmp_path / "core.json"
-    argv = ["coreset", "--instance", ng_path, "--scheme", scheme, "--lambda", "0.5",
+    argv = ["coreset", "--instance", ng_path, "--scheme", case, "--lambda", "0.5",
             "--size", "30", "--seed", "9", "--out", str(out), *flags]
     assert dispatch(argv) == 0
     doc = json.loads(out.read_text())
     instance = _read_instance(ng_path)
     scores = scores_for(instance, augment(instance))
-    expected = build_coreset(instance, scores, 30, p, 9)
+    expected = build_coreset(instance, scores, 30, 9)
     assert doc["coreset"] == expected.to_dict()
+    # Echoed are only the flags the scheme reads: --size sizing ignores
+    # --epsilon, --delta and --constant, uniform scores ignore --lambda, and
+    # only the lp-lp bounds read --p.
     expected_config = {
-        "subcommand": "coreset", "instance": ng_path, "scheme": scheme,
-        "lambda": 0.5, "size": 30, "epsilon": None, "delta": 0.1,
-        "constant": 0.5, "p": p, "seed": 9,
+        "subcommand": "coreset", "instance": ng_path, "scheme": case,
+        "lambda": 0.5, "size": 30, "seed": 9,
     }
-    if scheme == "uniform":  # uniform scores ignore --lambda, so it is not echoed
+    if case == "uniform":
         del expected_config["lambda"]
+    if case == "lp-lp":
+        expected_config["p"] = 1.5
     assert doc["config"] == expected_config
 
 
@@ -458,10 +454,13 @@ def test_solve_document_matches_library(ng_path, tmp_path, family):
     assert dispatch(argv) == 0
     doc = json.loads(out.read_text())
     result = solve(_read_instance(ng_path))
-    assert doc.pop("config") == {
+    expected_config = {
         "subcommand": "solve", "instance": ng_path, "coreset": None, "family": family,
         "lambda": 0.5, "p": p, "tol": 1e-7, "max_iter": 20000,
     }
+    if family == "ridge":  # the closed form reads neither --tol nor --max-iter
+        del expected_config["tol"], expected_config["max_iter"]
+    assert doc.pop("config") == expected_config
     assert doc == json.loads(json.dumps({
         "solution": result.solution.tolist(),
         "objective_value": result.objective_value,
@@ -504,39 +503,46 @@ def test_readme_chain_exits_zero_and_echoes_config(tmp_path):
     }
 
 
-@pytest.mark.parametrize(
-    "scheme, family, built, wanted",
-    [("ridge-leverage", "rlad", 2.0, 1.0), ("rlad", "ridge", 1.0, 2.0)],
-)
-def test_coreset_scaled_for_another_p_is_rejected(
-    ng_path, tmp_path, capsys, scheme, family, built, wanted
-):
-    core, bare = tmp_path / "core.json", tmp_path / "bare.json"
-    argv = ["coreset", "--instance", ng_path, "--scheme", scheme, "--lambda", "0.5",
-            "--size", "30", "--out", str(core)]
-    assert dispatch(argv) == 0
-    flags = ["--family", family, "--lambda", "0.5"]
-    assert dispatch(["solve", "--coreset", str(core), *flags]) == 1
-    assert dispatch(["verify", "--instance", ng_path, "--coreset", str(core), *flags,
-                     "--epsilon", "0.5"]) == 1
-    err = capsys.readouterr().err
-    assert err.count(f"scaled for p={built}") == 2
-    assert err.count(f"{family!r} has loss exponent p={wanted}") == 2
-    # A bare coreset document carries no p, so it stays accepted.
-    bare.write_text(json.dumps(json.loads(core.read_text())["coreset"]))
-    assert dispatch(["solve", "--coreset", str(bare), *flags]) == 0
-    capsys.readouterr()
+def test_bare_and_wrapped_coreset_documents_read_the_same(ng_path, tmp_path):
+    wrapped, bare = tmp_path / "core.json", tmp_path / "bare.json"
+    assert dispatch(["coreset", "--instance", ng_path, "--scheme", "ridge-leverage",
+                     "--lambda", "0.5", "--size", "30", "--out", str(wrapped)]) == 0
+    bare.write_text(json.dumps(json.loads(wrapped.read_text())["coreset"]))
+    # One document serves every loss exponent: its rows are weighted only
+    # where a loss is evaluated.
+    for family in ("ridge", "rlad", "lp_lp"):
+        flags = ["--family", family, "--lambda", "0.5", "--p", "3"]
+        docs = []
+        for core in (wrapped, bare):
+            solved, verified = tmp_path / "s.json", tmp_path / "v.json"
+            assert dispatch(["solve", "--coreset", str(core), *flags,
+                             "--out", str(solved)]) == 0
+            assert dispatch(["verify", "--instance", ng_path, "--coreset", str(core),
+                             *flags, "--epsilon", "0.9", "--queries", "20",
+                             "--out", str(verified)]) == 0
+            docs.append([{k: v for k, v in json.loads(path.read_text()).items()
+                          if k != "config"} for path in (solved, verified)])
+        assert docs[0] == docs[1]
 
 
-def test_lowerbound_rejects_a_coreset_scaled_for_another_p(ng_path, tmp_path, capsys):
+def test_coreset_document_of_the_former_format_exits_one(ng_path, tmp_path, capsys):
+    # The former document stored rows pre-scaled by weight^(1/p) under "rows";
+    # read as unweighted rows they would be weighted twice, so it is refused.
     core = tmp_path / "core.json"
     assert dispatch(["coreset", "--instance", ng_path, "--scheme", "uniform",
                      "--size", "30", "--out", str(core)]) == 0
-    assert dispatch(["lowerbound", "--instance", ng_path, "--coreset", str(core),
-                     "--p", "1", "--probes", "20"]) == 1
-    err = capsys.readouterr().err
-    assert "scaled for p=2.0" in err
-    assert "loss exponent p=1.0" in err
+    doc = json.loads(core.read_text())
+    body = doc["coreset"]
+    body["rows"] = body.pop("sampled_rows")
+    doc["config"]["p"] = 2.0
+    for former in (doc, body):
+        core.write_text(json.dumps(former))
+        assert dispatch(["solve", "--coreset", str(core), "--family", "ridge"]) == 1
+        assert dispatch(["verify", "--instance", ng_path, "--coreset", str(core),
+                         "--epsilon", "0.5"]) == 1
+        assert dispatch(["lowerbound", "--instance", ng_path, "--coreset", str(core),
+                         "--probes", "5"]) == 1
+    assert capsys.readouterr().err.count("missing keys: ['sampled_rows']") == 6
 
 
 def test_experiment_reads_csv_config(tmp_path):

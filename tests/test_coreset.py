@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcoreset.coreset import (
     Coreset,
@@ -21,6 +23,7 @@ from regcoreset.sensitivity import (
     ridge_leverage_scores,
     uniform_scores,
 )
+from regcoreset.solvers import evaluate_objective
 
 
 def _instance(seed: int, n: int, d: int) -> RegressionInstance:
@@ -56,7 +59,7 @@ def test_sample_size_floor_and_validation():
 
 def test_uniform_full_size_coreset_has_unit_weights():
     inst = _instance(1, 4, 2)
-    core = build_coreset(inst, uniform_scores(4), 4, 2.0, seed=3)
+    core = build_coreset(inst, uniform_scores(4), 4, seed=3)
     assert np.array_equal(core.weights, np.ones(4))
     assert np.array_equal(core.rows, augment(inst)[core.source_indices])
 
@@ -64,12 +67,12 @@ def test_uniform_full_size_coreset_has_unit_weights():
 def test_build_coreset_deterministic():
     inst = _instance(2, 50, 3)
     scores = ridge_leverage_scores(inst, 0.5)
-    a = build_coreset(inst, scores, 10, 2.0, seed=7)
-    b = build_coreset(inst, scores, 10, 2.0, seed=7)
+    a = build_coreset(inst, scores, 10, seed=7)
+    b = build_coreset(inst, scores, 10, seed=7)
     assert np.array_equal(a.rows, b.rows)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.source_indices, b.source_indices)
-    c = build_coreset(inst, scores, 10, 2.0, seed=8)
+    c = build_coreset(inst, scores, 10, seed=8)
     assert not np.array_equal(a.source_indices, c.source_indices)
 
 
@@ -92,7 +95,7 @@ def test_sampler_draws_what_generator_choice_draws(seed):
         values = scores.values
         assert np.count_nonzero(values == 0.0) >= 3
         for r in (1, 17, 400):
-            drawn = build_coreset(inst, scores, r, 2.0, seed=seed).source_indices
+            drawn = build_coreset(inst, scores, r, seed=seed).source_indices
             expected = np.random.default_rng(seed).choice(
                 n, r, replace=True, p=values / values.sum()
             )
@@ -102,7 +105,7 @@ def test_sampler_draws_what_generator_choice_draws(seed):
 def test_weight_formula_exactness():
     inst = _instance(3, 80, 4)
     scores = ridge_leverage_scores(inst, 1.0)
-    core = build_coreset(inst, scores, 25, 2.0, seed=0)
+    core = build_coreset(inst, scores, 25, seed=0)
     recovered = core.weights * 25 * scores.values[core.source_indices]
     assert np.allclose(recovered, scores.total, rtol=1e-12)
     assert np.all(core.source_indices >= 0)
@@ -110,30 +113,68 @@ def test_weight_formula_exactness():
 
 
 def test_coreset_loss_is_unbiased():
-    # Mean over many rebuilds of the weighted l1 loss approximates the full
-    # loss; the stored rows absorb the weight for p = 1.
+    # Mean over many rebuilds of the weighted l_p^p loss approximates the
+    # full loss at p = 1, 2 and 3; every draw serves all three exponents.
     rng = np.random.default_rng(77)
     inst = RegressionInstance(rng.standard_normal((500, 3)), rng.standard_normal(500))
     aprime = augment(inst)
     scores = ridge_leverage_scores(inst, 0.5)
     xs = rng.standard_normal((5, 4))
-    full = np.array([np.sum(np.abs(aprime @ x)) for x in xs])
-    estimates = np.zeros((2000, 5))
+    exponents = (1.0, 2.0, 3.0)
+    full = np.array([np.sum(np.abs(aprime @ xs.T) ** p, axis=0) for p in exponents])
+    estimates = np.zeros((2000, len(exponents), 5))
     for k in range(2000):
-        core = build_coreset(inst, scores, 50, 1.0, seed=10_000 + k)
-        estimates[k] = np.sum(np.abs(core.rows @ xs.T), axis=0)
+        core = build_coreset(inst, scores, 50, seed=10_000 + k)
+        for j, p in enumerate(exponents):
+            weighted = augment(core.as_instance(p))
+            estimates[k, j] = np.sum(np.abs(weighted @ xs.T) ** p, axis=0)
     assert np.all(np.abs(estimates.mean(axis=0) - full) / full < 0.02)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    d=st.integers(1, 4),
+    r=st.integers(1, 60),
+    p=st.floats(1.0, 4.0),
+    q=st.floats(1.0, 4.0),
+    s=st.floats(0.5, 4.0),
+    lam=st.floats(0.0, 5.0),
+)
+def test_one_draw_serves_every_exponent(seed, n, d, r, p, q, s, lam):
+    # Each drawn row i carries w = S / (r s_i), and as_instance(p) turns the
+    # stored rows into an instance whose l_p^p loss is sum_k w_k |a'_k x'|^p:
+    # the importance-weighted estimate of the full loss, for any p.
+    rng = np.random.default_rng(seed)
+    inst = RegressionInstance(rng.standard_normal((n, d)), rng.standard_normal(n))
+    values = rng.random(n) * (rng.random(n) < 0.8)
+    values[rng.integers(n)] += 0.5  # at least one row can be drawn
+    scores = SensitivityScores(values, "brute_force")
+    core = build_coreset(inst, scores, r, seed=seed)
+    idx = core.source_indices
+    assert np.allclose(core.weights * r * values[idx], scores.total, rtol=1e-12, atol=0)
+    aprime = augment(inst)[idx]
+    weighted = augment(core.as_instance(p))
+    assert np.array_equal(weighted, aprime * core.weights[:, None] ** (1.0 / p))
+    x = rng.standard_normal(d)
+    spec = ObjectiveSpec(p=p, q=q, r=p, s=s, lam=lam)
+    expected = np.sum(core.weights * np.abs(aprime @ np.append(x, -1.0)) ** p)
+    expected += lam * np.linalg.norm(x, ord=q) ** s
+    assert evaluate_objective(core.as_instance(p), x, spec) == pytest.approx(
+        expected, rel=1e-9
+    )
 
 
 def test_build_coreset_validation():
     inst = _instance(4, 10, 2)
     scores = uniform_scores(10)
     with pytest.raises(ValueError):
-        build_coreset(inst, scores, 0, 2.0, seed=0)
+        build_coreset(inst, scores, 0, seed=0)
     with pytest.raises(ValueError):
-        build_coreset(inst, scores, 5, 0.5, seed=0)
+        build_coreset(inst, scores, 5, seed=0).as_instance(0.5)
     with pytest.raises(InvalidScoresError):
-        build_coreset(inst, uniform_scores(9), 5, 2.0, seed=0)
+        build_coreset(inst, uniform_scores(9), 5, seed=0)
 
 
 def test_coreset_dataclass_validation():
@@ -159,14 +200,14 @@ def test_coreset_dataclass_validation():
 
 def test_coreset_json_roundtrip():
     inst = _instance(5, 30, 3)
-    core = build_coreset(inst, uniform_scores(30), 8, 2.0, seed=11)
+    core = build_coreset(inst, uniform_scores(30), 8, seed=11)
     clone = Coreset.from_dict(json.loads(json.dumps(core.to_dict())))
     assert np.array_equal(clone.rows, core.rows)
     assert np.array_equal(clone.weights, core.weights)
     assert np.array_equal(clone.source_indices, core.source_indices)
     assert clone.seed == 11 and clone.scheme == "uniform" and clone.n_source == 30
     assert clone.r == 8 and clone.d == 3
-    sub = clone.as_instance()
+    sub = clone.as_instance(2.0)
     assert sub.n == 8 and sub.d == 3
 
 
@@ -175,7 +216,12 @@ def test_coreset_json_validation():
     incomplete = {k: v for k, v in doc.items() if k != "weights"}
     with pytest.raises(ValueError):
         Coreset.from_dict(incomplete)
-    doc["rows"] = doc["rows"][:-1]
+    # The former key held rows pre-scaled for one p; it is not read.
+    renamed = {**doc, "rows": doc["sampled_rows"]}
+    del renamed["sampled_rows"]
+    with pytest.raises(ValueError, match="sampled_rows"):
+        Coreset.from_dict(renamed)
+    doc["sampled_rows"] = doc["sampled_rows"][:-1]
     with pytest.raises(ShapeError):
         Coreset.from_dict(doc)
 
@@ -198,7 +244,7 @@ def test_identity_coreset_has_zero_deviation():
 
 def test_duplicated_row_coreset_is_exact():
     inst = RegressionInstance(np.array([[1.0], [1.0]]), np.array([2.0, 2.0]))
-    core = build_coreset(inst, uniform_scores(2), 1, 2.0, seed=0)
+    core = build_coreset(inst, uniform_scores(2), 1, seed=0)
     assert core.weights == pytest.approx([2.0])
     queries = list(np.random.default_rng(2).standard_normal((10, 1)))
     report = verify_coreset(inst, core, ObjectiveSpec.ridge(0.0), queries, 0.5)
@@ -215,7 +261,7 @@ def test_ridge_leverage_coreset_passes_verification():
     passed = sum(
         verify_coreset(
             inst,
-            build_coreset(inst, scores, r, 2.0, seed=seed),
+            build_coreset(inst, scores, r, seed=seed),
             ObjectiveSpec.ridge(lam),
             queries,
             0.5,
@@ -255,7 +301,7 @@ def test_verify_validation():
 
 def test_transfer_check_equal_exponents_match():
     inst = _instance(10, 60, 4)
-    core = build_coreset(inst, uniform_scores(60), 30, 2.0, seed=1)
+    core = build_coreset(inst, uniform_scores(60), 30, seed=1)
     queries = list(np.random.default_rng(3).standard_normal((50, 4)))
     rep_p, rep_q = transfer_check(inst, core, 2.0, 2.0, 0.7, queries, 0.9)
     assert rep_p.max_relative_deviation == rep_q.max_relative_deviation
@@ -263,7 +309,7 @@ def test_transfer_check_equal_exponents_match():
 
 def test_transfer_check_lambda_zero_match():
     inst = _instance(11, 60, 4)
-    core = build_coreset(inst, uniform_scores(60), 30, 2.0, seed=2)
+    core = build_coreset(inst, uniform_scores(60), 30, seed=2)
     queries = list(np.random.default_rng(4).standard_normal((50, 4)))
     rep_p, rep_q = transfer_check(inst, core, 2.0, 1.0, 0.0, queries, 0.9)
     assert rep_p.max_relative_deviation == rep_q.max_relative_deviation
@@ -273,7 +319,7 @@ def test_transfer_check_p2_to_q1():
     # Queries that pass under the l2^2 penalty must pass under the l1^2 one.
     inst = _instance(12, 300, 5)
     scores = ridge_leverage_scores(inst, 0.5)
-    core = build_coreset(inst, scores, 120, 2.0, seed=5)
+    core = build_coreset(inst, scores, 120, seed=5)
     queries = list(np.random.default_rng(5).standard_normal((500, 5)))
     rep_p, rep_q = transfer_check(inst, core, 2.0, 1.0, 0.5, queries, 0.5)
     assert rep_p.epsilon == rep_q.epsilon == 0.5

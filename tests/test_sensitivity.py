@@ -272,7 +272,7 @@ def test_all_zero_row_scores_zero_and_is_never_sampled(lam):
     scores = ridge_leverage_scores(inst, lam)
     assert scores.values[7] == 0.0
     assert np.all(np.delete(scores.values, 7) > 0)
-    core = build_coreset(inst, scores, 500, 2.0, seed=3)
+    core = build_coreset(inst, scores, 500, seed=3)
     assert 7 not in core.source_indices
 
 

@@ -21,7 +21,6 @@ from regcoreset.seeding import mix_seed
 from regcoreset.solvers import (
     evaluate_objective,
     multiresponse_rlad_objective,
-    prox_squared_l1,
     solve_lasso,
     solve_lp_lp,
     solve_modified_lasso,
@@ -77,58 +76,6 @@ def test_sparsity_count_rules():
     assert sparsity_count(np.array([1e-6]), 1e-6) == 0  # strict inequality
     with pytest.raises(ValueError):
         sparsity_count(np.array([1.0]), 0.0)
-
-
-def test_prox_squared_l1_basics():
-    assert np.array_equal(prox_squared_l1(np.zeros(3), 0.7), np.zeros(3))
-    v = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(prox_squared_l1(v, 0.0), v)
-    assert prox_squared_l1(np.array([3.0]), 0.5) == pytest.approx([1.5])
-    with pytest.raises(ValueError):
-        prox_squared_l1(v, -0.1)
-
-
-@st.composite
-def _prox_inputs(draw):
-    # Entries are drawn from a small pool of magnitudes with random signs, so
-    # ties in |v| are common; the pool includes exact zeros.
-    magnitudes = st.just(0.0) | st.floats(1e-6, 1e3)
-    pool = draw(st.lists(magnitudes, min_size=1, max_size=4))
-    picks = draw(
-        st.lists(
-            st.tuples(st.sampled_from(pool), st.sampled_from((-1.0, 1.0))),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    return np.array([sign * mag for mag, sign in picks]), draw(st.floats(1e-4, 1e2))
-
-
-@settings(derandomize=True, deadline=None)
-@given(_prox_inputs())
-def test_prox_squared_l1_optimality_condition(inputs):
-    # (x - v) + 2t*||x||_1 * g = 0 with g a subgradient of ||x||_1.
-    v, t = inputs
-    x = prox_squared_l1(v, t)
-    theta = 2.0 * t * np.sum(np.abs(x))
-    on = x != 0
-    atol = 1e-10 * float(np.max(np.abs(v)))
-    assert np.allclose((x - v)[on] + theta * np.sign(x[on]), 0.0, atol=atol)
-    assert np.all(np.abs(v[~on]) <= theta + atol)
-
-
-def test_prox_squared_l1_beats_perturbations():
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(5)
-    t = 0.3
-    x = prox_squared_l1(v, t)
-
-    def obj(z):
-        return 0.5 * np.sum((z - v) ** 2) + t * np.sum(np.abs(z)) ** 2
-
-    for _ in range(100):
-        z = x + 1e-4 * rng.standard_normal(5)
-        assert obj(x) <= obj(z) + 1e-12
 
 
 def test_ridge_hand_example():
