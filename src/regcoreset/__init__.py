@@ -40,7 +40,6 @@ from .errors import (
 from .experiments import (
     DataTable,
     ExperimentConfig,
-    TrialReport,
     build_experiment_instance,
     emit_report,
     generate_ng_matrix,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -134,9 +135,7 @@ def _scores_for_cli(args, instance: RegressionInstance):
     aprime = augment(instance)
     if args.scheme == "rlad":
         return rlad_sensitivity_bounds(p_conditioned_basis(aprime, 1.0), args.lam)
-    if args.scheme == "lp-lp":
-        return lp_lp_sensitivity_bounds(p_conditioned_basis(aprime, args.p), args.lam)
-    raise ValueError(f"unknown scheme {args.scheme!r}")
+    return lp_lp_sensitivity_bounds(p_conditioned_basis(aprime, args.p), args.lam)
 
 
 def _cmd_coreset(args) -> int:
@@ -188,15 +187,7 @@ def _cmd_solve(args) -> int:
             instance, args.p, args.lam, tol=args.tol, max_iter=args.max_iter
         )
     ignored = ["tol", "max_iter"] if args.family == "ridge" else []  # closed form
-    payload = {
-        "config": _config(args, *ignored, p=spec.p),
-        "solution": result.solution.tolist(),
-        "objective_value": result.objective_value,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "optimality_residual": result.optimality_residual,
-        "gap": result.gap if np.isfinite(result.gap) else None,  # JSON has no inf
-    }
+    payload = {"config": _config(args, *ignored, p=spec.p), **result.to_dict()}
     _write(canonical_json(payload), args.out)
     return 0
 
@@ -212,17 +203,25 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(mix_seed(args.seed, _TAG_QUERIES))
     queries = list(rng.standard_normal((args.queries, instance.d)))
     report = verify_coreset(instance, core, spec, queries, args.epsilon)
-    payload = {
-        "config": _config(args, p=spec.p),
-        "max_relative_deviation": report.max_relative_deviation,
-        "worst_query_index": report.worst_query_index,
-        "queries_checked": report.queries_checked,
-        "degenerate_queries": report.degenerate_queries,
-        "epsilon": report.epsilon,
-        "passed": report.passed,
-    }
+    payload = {"config": _config(args, p=spec.p), **asdict(report)}
     _write(canonical_json(payload), args.out)
     return 0
+
+
+def _comma_list(text: str) -> list:
+    return text.split(",")
+
+
+# The ExperimentConfig fields an experiment or sparsity flag sets, each with
+# the argparse type of its value: --master-seed sets master_seed.  A list
+# field takes comma-separated values, which ExperimentConfig converts as it
+# does a --config file's lists.  normalize is set only through --config.
+_EXPERIMENT_FLAGS = {
+    "n": int, "d": int, "master_seed": int, "trials_per_cell": int,
+    "objective_family": str, "ng_alpha": float, "noise_scale": float,
+    "lambda_grid": _comma_list, "sample_sizes": _comma_list, "schemes": _comma_list,
+    "csv_path": str, "target_column": str,
+}
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -230,26 +229,10 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
-    overrides = {
-        "n": args.n,
-        "d": args.d,
-        "master_seed": args.master_seed,
-        "trials_per_cell": args.trials_per_cell,
-        "objective_family": args.objective_family,
-        "ng_alpha": args.ng_alpha,
-        "noise_scale": args.noise_scale,
-        "csv_path": args.csv_path,
-        "target_column": args.target_column,
-    }
-    for key, value in overrides.items():
+    for field in _EXPERIMENT_FLAGS:
+        value = getattr(args, field)
         if value is not None:
-            doc[key] = value
-    if args.lambda_grid is not None:
-        doc["lambda_grid"] = [float(v) for v in args.lambda_grid.split(",")]
-    if args.sample_sizes is not None:
-        doc["sample_sizes"] = [int(v) for v in args.sample_sizes.split(",")]
-    if args.schemes is not None:
-        doc["schemes"] = args.schemes.split(",")
+            doc[field] = value
     doc.setdefault("sample_sizes", [50])
     return ExperimentConfig.from_dict(doc)
 
@@ -362,18 +345,8 @@ def build_parser() -> _Parser:
     ):
         e = sub.add_parser(name, help=f"run the {name} protocol")
         e.add_argument("--config", default=None)
-        e.add_argument("--n", type=int, default=None)
-        e.add_argument("--d", type=int, default=None)
-        e.add_argument("--master-seed", type=int, default=None)
-        e.add_argument("--trials-per-cell", type=int, default=None)
-        e.add_argument("--objective-family", default=None)
-        e.add_argument("--ng-alpha", type=float, default=None)
-        e.add_argument("--noise-scale", type=float, default=None)
-        e.add_argument("--lambda-grid", default=None)
-        e.add_argument("--sample-sizes", default=None)
-        e.add_argument("--schemes", default=None)
-        e.add_argument("--csv-path", default=None)
-        e.add_argument("--target-column", default=None)
+        for field, kind in _EXPERIMENT_FLAGS.items():
+            e.add_argument("--" + field.replace("_", "-"), type=kind, default=None)
         e.add_argument("--format", choices=["json", "csv"], default="json")
         e.add_argument("--out", default=None)
         e.set_defaults(func=_cmd_table, runner=runner)
@@ -407,7 +380,7 @@ def dispatch(argv) -> int:
         return 1
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -111,16 +111,6 @@ class ExperimentConfig:
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class TrialReport:
-    scheme: str
-    sample_size: int
-    lam: float
-    relative_error: float
-    seed: int
-    solver_converged: bool
-
-
 @dataclass
 class DataTable:
     """Per-cell values, their per-trial values and the config digest.
@@ -282,9 +272,7 @@ def _solve(family: str, instance: RegressionInstance, lam: float):
         return solve_lasso(instance, lam)
     if family == "ridge":
         return solve_ridge(instance, lam)
-    if family == "rlad":
-        return solve_rlad(instance, lam)
-    raise ValueError(f"unknown objective family {family!r}")
+    return solve_rlad(instance, lam)
 
 
 def _scheme_scores(scheme, instance, lam, rlad_basis):
@@ -292,9 +280,7 @@ def _scheme_scores(scheme, instance, lam, rlad_basis):
         return uniform_scores(instance.n)
     if scheme == "ridge_leverage":
         return ridge_leverage_scores(instance, lam)
-    if scheme == "rlad_sensitivity":
-        return rlad_sensitivity_bounds(rlad_basis, lam)
-    raise ValueError(f"scheme {scheme!r} has no score rule")
+    return rlad_sensitivity_bounds(rlad_basis, lam)
 
 
 def run_relative_error_experiment(
@@ -350,7 +336,7 @@ def run_relative_error_experiment(
             v1 = full_values[lam]
             cell_row, trial_row = [], []
             for si, scheme in enumerate(config.schemes):
-                reports = []
+                errors, kept = [], []  # every trial's error; the converged ones
                 for ti in range(config.trials_per_cell):
                     seed = mix_seed(config.master_seed, _TAG_CELL, si, zi, li, ti)
                     if scheme == "identity":
@@ -361,24 +347,16 @@ def run_relative_error_experiment(
                         ).as_instance(p)
                     sub = _solve(family, core_instance, lam)
                     v2 = evaluate_objective(instance, sub.solution, spec_for[lam])
-                    reports.append(
-                        TrialReport(
-                            scheme=scheme,
-                            sample_size=size,
-                            lam=lam,
-                            relative_error=abs(v1 - v2) / v1,
-                            seed=seed,
-                            solver_converged=sub.converged,
-                        )
-                    )
-                kept = [t.relative_error for t in reports if t.solver_converged]
+                    errors.append(abs(v1 - v2) / v1)
+                    if sub.converged:
+                        kept.append(errors[-1])
                 if not kept:
                     raise RuntimeError(
                         f"no converged trials for scheme={scheme} "
                         f"size={size} lambda={lam}"
                     )
                 cell_row.append(float(statistics.median(kept)))
-                trial_row.append([t.relative_error for t in reports])
+                trial_row.append(errors)
             row_labels.append(_row_label(config, zi, li))
             cells.append(cell_row)
             trials.append(trial_row)

@@ -14,11 +14,15 @@ the n rows.  The instance computes that factor on first use and caches it
 evaluation on one instance shares a single QR of the n rows.
 
 A result's gap bounds (objective - optimum) / objective through a dual
-point, or is inf.  The lasso and the modified lasso count active-set steps;
-for lam > 0 "converged" means gap <= tol, and at lam = 0 (least squares: no
-finite dual bound) that the KKT conditions hold to tol.  IRLS counts sweeps;
-at p = 1 with lam > 0 it stops once its certified gap is <= tol, and
-otherwise, as at every other p, "converged" means the stall test passed.
+point, or is inf.  The active set measures it against max(objective, floor)
+instead, where floor * tol is the rounding allowance of its dual objective,
+4 (d + 1) eps ||c||^2 (||c||^2 = ||b||^2 is the objective at x = 0): an
+optimum too small to certify to tol relative is certified to rounding.
+The lasso and the modified lasso count active-set steps; for lam > 0
+"converged" means gap <= tol, and at lam = 0 (least squares: no finite dual
+bound) that the KKT conditions hold to tol.  IRLS counts sweeps; at p = 1
+with lam > 0 it stops once its certified gap is <= tol, and otherwise, as
+at every other p, "converged" means the stall test passed.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .linalg import (
 from .objective import ObjectiveSpec
 
 _OBJ_FLOOR = 1e-30
+_EPS = np.finfo(float).eps
 _KKT_TOL = 1e-12  # relative active-set gradients below this are rounding
 _SINE_TOL = 1e-5  # least sine of a column to the earlier ones in a Gram solve
 # IRLS at p = 1: residuals within _SET_TOL * (1 + ||r||_inf) of zero and
@@ -56,7 +61,9 @@ class SolverResult:
 
     gap is the best certified upper bound on the relative optimality gap
     (objective - optimum) / objective that the solve found, or inf when it
-    found none.  converged, gap and iterations mean what the module
+    found none; the lasso families divide by max(objective, floor), with
+    floor * tol the rounding allowance of the dual objective, whose terms
+    are of size ||c||^2.  converged, gap and iterations mean what the module
     docstring says for each family; objective_history holds the objective
     before the first iteration and after each, and is empty for ridge.
     """
@@ -68,6 +75,21 @@ class SolverResult:
     optimality_residual: float
     objective_history: list = field(default_factory=list, repr=False)
     gap: float = np.inf
+
+    def to_dict(self) -> dict:
+        """The result as JSON values, less objective_history.
+
+        The solution becomes (nested) lists, and gap None when none was
+        certified, since JSON has no inf.
+        """
+        return {
+            "solution": self.solution.tolist(),
+            "objective_value": float(self.objective_value),
+            "iterations": int(self.iterations),
+            "converged": bool(self.converged),
+            "optimality_residual": float(self.optimality_residual),
+            "gap": float(self.gap) if np.isfinite(self.gap) else None,
+        }
 
 
 def evaluate_objective(
@@ -221,7 +243,7 @@ def _active_set(instance, spec, tol, max_iter) -> SolverResult:
     residual = float(np.max(np.where(z > 0, np.abs(w), w), initial=0.0)) / scale
     gap = np.inf
     if lam > 0:
-        gap = _gap(R, c, lam, modified, x, history[-1])
+        gap = _gap(R, c, lam, modified, x, history[-1], tol)
         P = np.flatnonzero(passive)
         if gap > tol and P.size:
             # Rounding can leave z a hair off its face's minimum.  Any dual
@@ -231,7 +253,8 @@ def _active_set(instance, spec, tol, max_iter) -> SolverResult:
                 fine[P] += np.linalg.solve(Q[np.ix_(P, P)], w[P])
             except np.linalg.LinAlgError:
                 pass
-            gap = min(gap, _gap(R, c, lam, modified, fine[:d] - fine[d:], history[-1]))
+            fine_x = fine[:d] - fine[d:]
+            gap = min(gap, _gap(R, c, lam, modified, fine_x, history[-1], tol))
     return SolverResult(
         solution=x,
         objective_value=evaluate_objective(instance, x, spec),
@@ -243,18 +266,25 @@ def _active_set(instance, spec, tol, max_iter) -> SolverResult:
     )
 
 
-def _gap(R, c, lam, modified, x, objective) -> float:
+def _gap(R, c, lam, modified, x, objective, tol) -> float:
     """The relative gap of objective against the dual point u = 2(Rx - c).
 
     For the lasso u is scaled so that ||R^T u||_inf <= lam; by weak duality
-    every such u bounds the minimum below, whatever x built it.
+    every such u bounds the minimum below, whatever x built it.  The entries
+    of u are (d + 1)-term sums rounded to about (d + 1) eps ||c||, and the
+    dual objective adds terms of size up to ||c||^2, the objective at x = 0,
+    so no u built in floating point bounds the minimum closer than about
+    delta = 4 (d + 1) eps ||c||^2.  The gap is measured against
+    max(objective, floor) with floor = delta / tol: gap <= tol means
+    objective - dual <= max(tol * objective, delta).
     """
     u = 2.0 * (R @ x - c)
     slope = float(np.abs(R.T @ u).max())
     if not modified:
         u *= lam / max(slope, lam)
     dual = -(u @ u) / 4.0 - u @ c - (slope**2 / (4.0 * lam) if modified else 0.0)
-    return max(objective - float(dual), 0.0) / max(objective, _OBJ_FLOOR)
+    floor = 4.0 * (R.shape[1] + 1) * _EPS * float(c @ c) / tol if tol > 0 else 0.0
+    return max(objective - float(dual), 0.0) / max(objective, floor, _OBJ_FLOOR)
 
 
 def solve_lasso(

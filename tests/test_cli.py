@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,11 +11,17 @@ import numpy as np
 import pytest
 
 import regcoreset
-from regcoreset.cli import dispatch
+from regcoreset.cli import _EXPERIMENT_FLAGS, _load_coreset, dispatch
 from regcoreset.conditioning import p_conditioned_basis
-from regcoreset.coreset import build_coreset, identity_coreset
-from regcoreset.experiments import ExperimentConfig, build_experiment_instance
+from regcoreset.coreset import build_coreset, identity_coreset, verify_coreset
+from regcoreset.experiments import (
+    _TAG_QUERIES,
+    ExperimentConfig,
+    build_experiment_instance,
+)
 from regcoreset.linalg import RegressionInstance, augment
+from regcoreset.objective import ObjectiveSpec
+from regcoreset.seeding import mix_seed
 from regcoreset.sensitivity import (
     lp_lp_sensitivity_bounds,
     ridge_leverage_scores,
@@ -566,3 +573,56 @@ def test_experiment_reads_csv_config(tmp_path):
     del config["target_column"]
     config_path.write_text(json.dumps(config))
     assert dispatch(["experiment", "--config", str(config_path), "--out", str(out)]) == 1
+
+
+def test_verify_document_is_the_library_report(ng_path, tmp_path):
+    core, out = tmp_path / "core.json", tmp_path / "verify.json"
+    assert dispatch(["coreset", "--instance", ng_path, "--scheme", "ridge-leverage",
+                     "--lambda", "0.5", "--size", "30", "--seed", "2",
+                     "--out", str(core)]) == 0
+    assert dispatch(["verify", "--instance", ng_path, "--coreset", str(core),
+                     "--family", "rlad", "--lambda", "0.5", "--epsilon", "0.3",
+                     "--queries", "40", "--seed", "7", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    del doc["config"]
+    instance = _read_instance(ng_path)
+    queries = np.random.default_rng(mix_seed(7, _TAG_QUERIES)).standard_normal((40, 4))
+    report = verify_coreset(instance, _load_coreset(str(core)),
+                            ObjectiveSpec.for_family("rlad", 0.5), list(queries), 0.3)
+    assert doc == dataclasses.asdict(report)
+
+
+# The flag-settable fields of a synthetic run (the CSV fields are covered by
+# test_experiment_reads_csv_config), as flag text and as --config value.
+_EXPERIMENT_SETTINGS = {
+    "n": ("60", 60),
+    "d": ("4", 4),
+    "master_seed": ("5", 5),
+    "trials_per_cell": ("3", 3),
+    "objective_family": ("ridge", "ridge"),
+    "ng_alpha": ("0.001", 0.001),
+    "noise_scale": ("1e-4", 1e-4),
+    "lambda_grid": ("0.1,1", [0.1, 1.0]),
+    "sample_sizes": ("10,20", [10, 20]),
+    "schemes": ("uniform,identity", ["uniform", "identity"]),
+}
+
+
+@pytest.mark.parametrize("command", ["experiment", "sparsity"])
+def test_experiment_flags_and_config_file_write_the_same_document(tmp_path, command):
+    flags = []
+    for name, (text, _) in _EXPERIMENT_SETTINGS.items():
+        flags += ["--" + name.replace("_", "-"), text]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({k: v for k, (_, v) in _EXPERIMENT_SETTINGS.items()}))
+    by_flags, by_file = tmp_path / "flags.json", tmp_path / "file.json"
+    assert dispatch([command, *flags, "--out", str(by_flags)]) == 0
+    assert dispatch([command, "--config", str(config), "--out", str(by_file)]) == 0
+    assert by_flags.read_bytes() == by_file.read_bytes()
+
+
+def test_experiment_flags_are_the_config_fields():
+    # A config field without a flag must be declared --config-only here.
+    fields = set(ExperimentConfig.__dataclass_fields__)
+    assert set(_EXPERIMENT_FLAGS) <= fields
+    assert fields - set(_EXPERIMENT_FLAGS) == {"normalize"}

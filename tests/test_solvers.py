@@ -1,5 +1,6 @@
 """Tests for objective evaluation and the solver family."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -577,6 +578,41 @@ def test_active_set_certifies_an_exact_solve_a_rounding_short_of_its_face(
     assert result.converged is True and result.gap <= 1e-8
     assert abs(obj - exact) <= 1e-12 * exact
     assert result.gap >= (obj - exact) / obj - 1e-14
+
+
+def test_active_set_certifies_a_tiny_optimum_to_rounding(
+    l1_penalized_least_squares_minimum,
+):
+    # The optimum is 1.4e-8 of ||c||^2, the objective at x = 0, so the
+    # dual objective's rounding alone is a relative gap of 5.8e-8 of it;
+    # measured against the floor the solve certifies.
+    inst = RegressionInstance(
+        [[-51.42501129355623, -838.9981820737216],
+         [142.43660706578532, -1379.0155862960587]],
+        [-0.8973953680052013, -0.7069258591070188],
+    )
+    result = solve_modified_lasso(inst, 1e-3)
+    exact = l1_penalized_least_squares_minimum(inst, 1e-3, 2)
+    assert result.converged is True and result.gap <= 1e-8
+    assert abs(result.objective_value - exact) <= 1e-12 * exact
+
+
+def test_result_to_dict_is_the_json_document():
+    inst = _instance(16, 25, 3)
+    keys = {"solution", "objective_value", "iterations", "converged",
+            "optimality_residual", "gap"}
+    ridge = solve_ridge(inst, 0.8).to_dict()
+    assert set(ridge) == keys  # objective_history is left out
+    assert ridge["gap"] is None and ridge["converged"] is True
+    assert isinstance(ridge["solution"], list)
+    lasso = solve_lasso(inst, 0.8)
+    assert lasso.to_dict()["gap"] == lasso.gap <= 1e-8
+    B = np.column_stack([inst.response, 2.0 * inst.response])
+    multi = solve_multiresponse_rlad(inst.design, B, 0.4)
+    doc = multi.to_dict()
+    assert doc["solution"] == multi.solution.tolist()
+    assert [len(row) for row in doc["solution"]] == [2, 2, 2]
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_modified_lasso_converges_where_fista_stalled():
