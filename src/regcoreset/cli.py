@@ -323,7 +323,8 @@ def build_parser() -> _Parser:
     s.add_argument("--tol", type=float, default=1e-7,
                    help="relative duality-gap bound; stall tolerance for p in (1, 4]")
     s.add_argument("--max-iter", type=int, default=20000,
-                   help="cap on active-set steps (lasso families) or IRLS sweeps")
+                   help="cap on active-set steps (lasso families), or on IRLS sweeps "
+                        "and vertex-descent pivots")
     s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_solve)
 

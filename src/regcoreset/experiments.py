@@ -71,9 +71,11 @@ class ExperimentConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
-        object.__setattr__(self, "sample_sizes", tuple(int(v) for v in self.sample_sizes))
-        object.__setattr__(self, "schemes", tuple(self.schemes))
+        for name, kind in (("lambda_grid", float), ("sample_sizes", int), ("schemes", str)):
+            try:
+                object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
         if not self.lambda_grid or any(v < 0 for v in self.lambda_grid):
             raise ValueError("lambda_grid must be non-empty with entries >= 0")
         if not self.sample_sizes or any(v < 1 for v in self.sample_sizes):

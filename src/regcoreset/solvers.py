@@ -2,8 +2,9 @@
 
 Closed form for ridge, Lawson-Hanson active-set steps for the lasso and the
 squared-l1 "modified lasso", and damped IRLS for l_p losses with an l_p^p
-penalty, which at p = 1 also serves least absolute deviations with an l1
-penalty (RLAD).
+penalty.  At p = 1 with lam > 0 (least absolute deviations with an l1
+penalty, RLAD) the problem is a linear program: IRLS only finds a start, and
+an exact vertex descent on the rows of [A; lam I] finishes it.
 
 The squared-loss solvers (ridge, lasso, modified lasso) work on the
 triangular factor of [A b], which has at most d + 1 rows and keeps
@@ -20,9 +21,10 @@ instead, where floor * tol is the rounding allowance of its dual objective,
 optimum too small to certify to tol relative is certified to rounding.
 The lasso and the modified lasso count active-set steps; for lam > 0
 "converged" means gap <= tol, and at lam = 0 (least squares: no finite dual
-bound) that the KKT conditions hold to tol.  IRLS counts sweeps; at p = 1
-with lam > 0 it stops once its certified gap is <= tol, and otherwise, as
-at every other p, "converged" means the stall test passed.
+bound) that the KKT conditions hold to tol.  IRLS counts sweeps, and at
+p = 1 with lam > 0 the descent's pivots too; there the optimal vertex's
+dual point certifies the gap and "converged" means gap <= tol.  Otherwise,
+and at every other p, "converged" means the stall test passed.
 """
 
 from __future__ import annotations
@@ -42,17 +44,19 @@ from .objective import ObjectiveSpec
 
 _OBJ_FLOOR = 1e-30
 _EPS = np.finfo(float).eps
-_KKT_TOL = 1e-12  # relative active-set gradients below this are rounding
+# Relative active-set gradients, and the excess |y_k| - 1 of an LP vertex's
+# dual, below this are rounding.
+_KKT_TOL = 1e-12
 _SINE_TOL = 1e-5  # least sine of a column to the earlier ones in a Gram solve
-# IRLS at p = 1: residuals within _SET_TOL * (1 + ||r||_inf) of zero and
-# coordinates beyond _SET_TOL * (1 + ||x||_inf) fix an LP vertex, which is
-# tried only once a sweep changes the objective and the iterate by at most
-# _POLISH_PROGRESS (relative).  The loose _SET_TOL lets the sets settle
-# early; it also takes in small nonzero residuals, so the dual point frees
-# only the residuals the vertex fits to _DUAL_ZERO.
-_SET_TOL = 1e-3
-_POLISH_PROGRESS = 1e-2
-_DUAL_ZERO = 1e-9
+# IRLS at p = 1 hands its iterate to the LP vertex descent after the first
+# sweep that changes the objective and the iterate by at most _VERTEX_GATE
+# (relative).  The descent starts from rows whose sine to the rows taken
+# before them exceeds _BASIS_SINE, since a start basis nearer singular puts
+# the vertex far from the iterate, and gives up after _PIVOTS_PER_COLUMN * d
+# pivots.
+_VERTEX_GATE = 1e-2
+_BASIS_SINE = 1e-3
+_PIVOTS_PER_COLUMN = 10
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,8 @@ class SolverResult:
     floor * tol the rounding allowance of the dual objective, whose terms
     are of size ||c||^2.  converged, gap and iterations mean what the module
     docstring says for each family; objective_history holds the objective
-    before the first iteration and after each, and is empty for ridge.
+    before the first iteration and after each active-set step or IRLS
+    sweep, then once after an RLAD vertex descent, and is empty for ridge.
     """
 
     solution: np.ndarray
@@ -335,17 +340,20 @@ def solve_lp_lp(
     the recorded objective values never increase.  p = 2 has constant
     weights and is solved in closed form by solve_ridge.
 
-    At p = 1 with lam > 0 the problem is a linear program, and once a sweep
-    leaves the near-zero residuals Z and the clearly nonzero coordinates S
-    where the previous sweep left them, IRLS tries the LP vertex they fix
-    (_l1_vertex_certificate), once per pair (Z, S) and only if
-    |S| <= |Z| < n: a Z holding every row means the threshold found no
-    contrast.  The dual point built with the vertex bounds the minimum from
-    below.  When that bound puts the relative gap of the vertex, or of the
-    iterate, at or below tol, the better of the two is returned as
-    converged and SolverResult.gap records the bound.  Otherwise, and at
-    every other p, "converged" means the stall test: two sweeps in a row
-    whose relative objective drop and step both fall below tol.
+    At p = 1 with lam > 0 the problem is a linear program.  After the first
+    sweep that moves the objective and the iterate by at most _VERTEX_GATE
+    (relative), an exact descent over the LP's vertices starts from the rows
+    nearest that iterate and ends at an optimal vertex in finitely many
+    pivots (_l1_vertex_descent).  Its dual, clipped to [-1, 1] on the rows
+    of A and scaled so that ||A^T y||_inf <= lam, bounds the minimum below
+    by -b^T y (weak duality); the vertex is taken unless its objective is
+    above the iterate's, and the optimum's objective is recorded once in
+    objective_history, while iterations counts sweeps and pivots.  When the
+    bound puts the relative gap at or below tol, the solve stops converged
+    and SolverResult.gap records it.  If the descent fails (a singular basis
+    or its pivot cap), IRLS goes on as at every other p, where "converged"
+    means the stall test: two sweeps in a row whose relative objective drop
+    and step both fall below tol.
     """
     if not 1 <= p <= 4:
         raise ValueError(f"p must lie in [1, 4], got {p}")
@@ -362,19 +370,18 @@ def solve_lp_lp(
     except np.linalg.LinAlgError:
         x = np.zeros(instance.d)
     r = A @ x - b
-    abs_r = np.abs(r)
     obj = _objective(r, x, spec)
     history = [obj]
-    polish = p == 1 and lam > 0
-    last_key, tried = None, set()
+    descend = p == 1 and lam > 0
     converged = False
     res = np.inf
-    lower = -np.inf  # best certified lower bound on the minimum
+    lower = -np.inf  # certified lower bound on the minimum
     gap = np.inf
     flat_sweeps = 0
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w = np.maximum(abs_r, smooth) ** (p - 2.0)
+    while iterations < max_iter:
+        iterations += 1
+        w = np.maximum(np.abs(r), smooth) ** (p - 2.0)
         v = np.maximum(np.abs(x), smooth) ** (p - 2.0)
         H = A.T @ (w[:, None] * A)
         H[diag] += lam * v
@@ -395,29 +402,23 @@ def solve_lp_lp(
         rel_drop = (obj - obj_new) / max(abs(obj), _OBJ_FLOOR)
         rel_step = np.linalg.norm(x_new - x) / (1.0 + np.linalg.norm(x_new))
         x, obj, r = x_new, obj_new, r_new
-        abs_r = np.abs(r)
         res = max(rel_drop, rel_step)
-        # While a sweep still moves the objective or the iterate by more
-        # than _POLISH_PROGRESS, the sets are not settled and testing them
-        # is wasted work.
-        if polish and res <= _POLISH_PROGRESS:
-            zero, support = _l1_active_sets(abs_r, x)
-            key = (zero.tobytes(), support.tobytes())
-            settled = key == last_key and key not in tried
-            if settled and support.sum() <= zero.sum() < zero.size:
-                tried.add(key)
-                vertex = _l1_vertex_certificate(A, b, spec, zero, support, obj)
-                if vertex is not None:
-                    x_v, r_v, obj_v, dual = vertex
-                    lower = max(lower, dual)
-                    # Only a certified vertex is taken: the exact zeros of a
-                    # wrong one would hold IRLS there until the stall test.
-                    if obj_v - lower <= tol * max(obj_v, _OBJ_FLOOR):
-                        x, r, obj = x_v, r_v, obj_v
-            last_key = key
-        else:
-            last_key = None
         history.append(obj)
+        # Until a sweep moves the objective and the iterate by at most
+        # _VERTEX_GATE, the smallest residuals mark the optimal vertex too
+        # loosely for the descent to pay for its start.
+        if descend and res <= _VERTEX_GATE:
+            descend = False
+            x_v, pivots, y = _l1_vertex_descent(A, b, lam, x)
+            iterations += pivots
+            if x_v is not None:
+                y /= max(1.0, float(np.max(np.abs(A.T @ y))) / lam)
+                lower = -float(b @ y)
+                r_v = A @ x_v - b
+                obj_v = _objective(r_v, x_v, spec)
+                if obj_v <= obj:
+                    x, r, obj = x_v, r_v, obj_v
+                    history.append(obj)
         gap = (obj - lower) / max(obj, _OBJ_FLOOR)
         if gap <= tol:
             res, converged = gap, True
@@ -437,48 +438,159 @@ def solve_lp_lp(
     )
 
 
-def _l1_active_sets(abs_r: np.ndarray, x: np.ndarray):
-    """Masks of the near-zero residuals Z and the clearly nonzero coordinates S."""
-    abs_x = np.abs(x)
-    zero = abs_r <= _SET_TOL * (1.0 + abs_r.max())
-    support = abs_x > _SET_TOL * (1.0 + abs_x.max())
-    return zero, support
+@np.errstate(divide="ignore", invalid="ignore")
+def _l1_vertex_descent(A, b, lam, x):
+    """An optimal vertex of ||Ax - b||_1 + lam*||x||_1, reached from near x.
 
+    The objective is ||Mx - c||_1 with M = [A; lam I] and c = [b; 0], once
+    identical rows of [A b] are merged into one row times their count (at
+    p = 1 that keeps every objective, and repeats would make degenerate
+    vertices, where the descent can cycle).  A vertex solves M_B x = c_B for
+    a basis B of d rows; the first basis is the d rows with the least
+    |m_i x - c_i| / ||m_i|| that are independent (_vertex_basis).  With
+    s = sign(Mx - c) off B, the dual y_B solves M_B^T y_B = -M_N^T s_N, and
+    leaving row k's hyperplane on the side sign(y_k) changes the objective
+    at the rate 1 - |y_k|.  So the vertex is optimal once every |y_k| <= 1
+    (to _KKT_TOL); until then the row with the largest |y_k| leaves, and
+    the next vertex on that edge is the weighted median of the hyperplanes
+    it crosses: the rate rises by 2|m_i delta| at each, and the row where it
+    turns nonnegative enters.  Each pivot updates the inverse of M_B, the
+    residuals and M_N^T s_N in place; an optimum found that way is checked
+    once more from scratch.
 
-def _l1_vertex_certificate(A, b, spec, zero, support, obj):
-    """The LP vertex fixed by (Z, S) and a lower bound on the minimum.
-
-    The vertex fits the rows Z on the columns S, x_S = lstsq(A[Z, S], b[Z]),
-    and is zero off S.  With r = Ax - b, the dual point y is sign(r) off the
-    rows the vertex fits exactly (|r_i| <= _DUAL_ZERO * (1 + ||r||_inf), a
-    subset of Z) and, on them, the least-squares solution of
-    (A^T y)_S = -lam * sign(x_S) clipped to [-1, 1]; y is then scaled so that
-    ||A^T y||_inf <= lam.  Every such y bounds the minimum from below (weak
-    duality): |r_i| >= y_i r_i and lam*|x_j| >= -(A^T y)_j x_j add up to
-    P(x) >= -b^T y for every x.  Returns (x, r, objective, -b^T y), or None
-    when A[Z, S] has rank below |S|, when the vertex's objective exceeds
-    obj, the iterate's, or when it fits fewer than |S| rows exactly: then
-    (Z, S) is not the optimum's, and its dual point is not worth building.
+    Returns (x, pivots, y) with y the dual on the rows of A (y_B, clipped to
+    [-1, 1], where the row is basic and s where not), or (None, pivots,
+    None) when a basis is singular or _PIVOTS_PER_COLUMN * d pivots pass
+    first.
     """
-    fit = A[np.ix_(zero, support)]
-    coef, _, rank, _ = np.linalg.lstsq(fit, b[zero], rcond=None)
-    if rank < fit.shape[1]:
-        return None
-    x = np.zeros(A.shape[1])
-    x[support] = coef
-    r = A @ x - b
-    vertex_obj = _objective(r, x, spec)
-    abs_r = np.abs(r)
-    zero = zero & (abs_r <= _DUAL_ZERO * (1.0 + abs_r.max()))
-    if vertex_obj > obj or zero.sum() < fit.shape[1]:
-        return None
-    fit = A[np.ix_(zero, support)]
-    y = np.sign(r)
-    y[zero] = 0.0
-    rhs = -spec.lam * np.sign(coef) - A[:, support].T @ y
-    y[zero] = np.clip(np.linalg.lstsq(fit.T, rhs, rcond=None)[0], -1.0, 1.0)
-    y /= max(1.0, float(np.max(np.abs(A.T @ y))) / spec.lam)
-    return x, r, vertex_obj, -float(b @ y)
+    n, d = A.shape
+    # Sorted by a key that equal rows share, identical rows are neighbours.
+    key = A.sum(axis=1) + b
+    order = np.argsort(key)
+    tie = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    lo, hi = order[tie], order[tie + 1]
+    tie = tie[np.all(A[lo] == A[hi], axis=1) & (b[lo] == b[hi])]
+    first = np.ones(n, dtype=bool)
+    first[tie + 1] = False
+    rows = np.empty(n, dtype=int)
+    rows[order] = np.cumsum(first) - 1
+    keep, counts = order[first], np.bincount(rows)
+    M = np.zeros((keep.size + d, d))
+    np.multiply(A[keep], counts[:, None], out=M[:keep.size])
+    M[keep.size:] = lam * np.eye(d)
+    c = np.zeros(keep.size + d)
+    c[:keep.size] = b[keep] * counts
+
+    basis = _vertex_basis(M, np.abs(M @ x - c))
+    if basis is None:
+        return None, 0, None
+    pivots = 0
+    while True:
+        # Refresh the inverse, the residuals e, their signs s off the basis
+        # and h = M^T s, which the pivots below update in place.
+        try:
+            inv = np.linalg.inv(M[basis])
+        except np.linalg.LinAlgError:
+            return None, pivots, None
+        x = inv @ c[basis]
+        e = M @ x - c
+        e[basis] = 0.0
+        s = np.sign(e)
+        h = s @ M
+        fresh = True
+        while True:
+            z = h @ inv  # -y_B
+            k = int(np.argmax(np.abs(z)))
+            need = abs(float(z[k])) - 1.0
+            if need <= _KKT_TOL:
+                break
+            if pivots == _PIVOTS_PER_COLUMN * d:
+                return None, pivots, None
+            pivots, fresh = pivots + 1, False
+            sigma = -1.0 if z[k] > 0 else 1.0  # sign(y_k)
+            g = M @ (sigma * inv[:, k])
+            g[basis] = 0.0
+            # The edge crosses hyperplane i at t = -e_i / g_i >= 0 (the
+            # basis, with e_i = g_i = 0, gives nan and drops out).  In order
+            # of t the rate 1 - |y_k| rises by 2|g_i| at each, by |g_i| at
+            # an exact zero residual (s_i = 0), until it turns nonnegative.
+            t = e / g
+            cross = np.flatnonzero(t <= 0)
+            t = -t[cross]
+            size = 2 * d
+            while True:
+                if size < t.size:
+                    ahead = np.argpartition(t, size)[:size]
+                    ahead = ahead[np.argsort(t[ahead])]
+                else:
+                    ahead = np.argsort(t)
+                i = cross[ahead]
+                rise = np.abs(g[i])
+                rise[s[i] != 0] *= 2.0
+                stop = int(np.searchsorted(np.cumsum(rise), need))
+                if stop < i.size or size >= t.size:
+                    break
+                size *= 4
+            if stop == i.size:  # unbounded: not at lam > 0
+                return None, pivots, None
+            j, step, passed, left = i[stop], t[ahead[stop]], i[:stop], basis[k]
+            # Move to the new vertex: the rows passed change sign, row k
+            # leaves the basis on side sigma and row j enters it.
+            g *= step
+            e += g
+            e[left], e[j] = sigma * step, 0.0
+            if stop:
+                new = np.sign(e[passed])
+                h += (new - s[passed]) @ M[passed]
+                s[passed] = new
+            h += sigma * M[left] - s[j] * M[j]
+            s[left], s[j], basis[k] = sigma, 0.0, j
+            # Row k of M_B is now m_j: a rank-one change of the inverse.
+            w = M[j] @ inv
+            w[k] -= 1.0
+            inv -= inv[:, k, None] * (w / (w[k] + 1.0))
+        if fresh:
+            s[basis] = np.clip(-z, -1.0, 1.0)
+            return x, pivots, s[rows]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _vertex_basis(M, distance):
+    """The start basis: d independent rows of M near the iterate, or None.
+
+    Rows are taken in order of distance / ||row||, each one whose sine to
+    the rows taken before it exceeds _BASIS_SINE, until there are d (None
+    when M has lower rank).  A block at a time: the QR factor of the next
+    rows, less their part in the span Q of the rows taken, has |R_jj| equal
+    to row j's distance from that span and the rows before it, as long as
+    those rows are independent; the rows up to the first dependent one are
+    taken.
+    """
+    m, d = M.shape
+    norms = np.sqrt(np.einsum("ij,ij->i", M, M))
+    pending = np.argsort(distance / norms)  # zero rows give inf or nan: last
+    pending = pending[norms[pending] > 0]
+    Q, basis, size = np.zeros((d, 0)), [], 2 * d
+    while len(basis) < d:
+        head = pending[:size]
+        C = M[head]
+        if basis:
+            C -= (C @ Q) @ Q.T
+            apart = np.sqrt(np.einsum("ij,ij->i", C, C)) > _BASIS_SINE * norms[head]
+            head, C = head[apart], C[apart]
+        if head.size:
+            q, R = np.linalg.qr(C.T)
+            k = min(R.shape[0], d - len(basis))
+            ok = np.abs(np.diag(R)[:k]) > _BASIS_SINE * norms[head[:k]]
+            take = k if ok.all() else int(np.argmin(ok))
+            basis += head[:take].tolist()
+            Q = np.hstack([Q, q[:, :take]])
+            head = head[take:]
+        elif size >= pending.size:
+            return None
+        pending = np.concatenate([head, pending[size:]])
+        size *= 2
+    return np.array(basis)
 
 
 def solve_multiresponse_rlad(

@@ -56,7 +56,7 @@ MASTER_SEED = 2
 PINNED_SHA256 = {
     "leverage/csv": "d0b8c12a6c087ce730396b86de872a0ef8f55d9df2f83d9c9efe614c31ab915c",
     "lambda-sweep/csv": "72373ea44db6b597b7f2fe374e6eea32916d395c3aac0f23fe0cd10a61a799f8",
-    "rlad/csv": "d37ff41aa1681a14f4db5ffd2441e5d0c3ddc4dab420dfc87b35ebb78a63ca2b",
+    "rlad/csv": "4549191efa6fa9e200924a97919420ea42631f5aa13f4786c67612cfc2a00c0f",
     "sparsity/json": "86d44248d0a95f781b2773b9e6018f664882f56074051f4c92bc217daf8190f8",
 }
 

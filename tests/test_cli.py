@@ -358,6 +358,17 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malformed_list_flags_name_their_field(capsys):
+    for flag, text, field in (("--lambda-grid", "x,1", "lambda_grid"),
+                              ("--sample-sizes", "2.5", "sample_sizes")):
+        flags = {"--lambda-grid": "1", "--sample-sizes": "20", flag: text}
+        args = ["experiment", "--n", "300", "--d", "4"]
+        for name, value in flags.items():
+            args += [name, value]
+        assert dispatch(args) == 1
+        assert f"error: {field}: " in capsys.readouterr().err
+
+
 def test_missing_file_exits_one(tmp_path, capsys):
     assert (
         dispatch(["solve", "--instance", str(tmp_path / "nope.json"), "--family", "ridge"])

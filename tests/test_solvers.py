@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcoreset import experiments
+from regcoreset import experiments, solvers
 from regcoreset.errors import RankDeficiencyError, ShapeError
 from regcoreset.experiments import (
     ExperimentConfig,
@@ -234,8 +234,7 @@ def test_cross_solver_agreement(l1_vertex_minimum):
 
 def test_rlad_certificate_bounds_the_exact_gap(l1_vertex_minimum):
     # Odd seeds repeat rows, as coresets drawn with replacement do, which
-    # makes the optimal LP vertex degenerate.
-    certified = 0
+    # makes the optimal LP vertex degenerate unless the repeats are merged.
     for seed in range(12):
         rng = np.random.default_rng(300 + seed)
         A, b = rng.standard_normal((12, 3)), rng.standard_normal(12)
@@ -246,19 +245,42 @@ def test_rlad_certificate_bounds_the_exact_gap(l1_vertex_minimum):
             result = solve_rlad(inst, lam, tol=1e-9, max_iter=100_000)
             exact = l1_vertex_minimum(inst, lam)
             obj = result.objective_value
-            assert result.converged
+            assert result.converged and result.gap <= 1e-9
             # 1e-14 allows for rounding in the two sums being compared.
             assert result.gap >= (obj - exact) / obj - 1e-14
-            if result.gap <= 1e-9:
-                certified += 1
-                assert abs(obj - exact) / exact < 1e-12
-            else:  # the stall test stopped it, as before certificates
-                assert abs(obj - exact) / exact < 1e-6
-    # 32 of 36 certify.  Seed 5 (every lam) has an optimal coordinate near
-    # 1e-4, below the support threshold, and seed 11 (lam = 0.3) residuals
-    # near 3e-3, inside the zero threshold, so their vertices are not the
-    # optimum.
-    assert certified >= 30
+            assert abs(obj - exact) / exact < 1e-12
+
+
+def test_rlad_on_weighted_repeats_reaches_the_exact_minimum(l1_vertex_minimum):
+    # A coreset holds each drawn row scaled by its weight, so a row drawn
+    # twice appears twice, identically; its vertices are degenerate until
+    # the repeats are merged into one row.
+    for seed in range(6):
+        rng = np.random.default_rng(500 + seed)
+        rows, resp = rng.standard_normal((8, 3)), rng.standard_normal(8)
+        weight = rng.uniform(0.5, 4.0, 8)
+        drawn = rng.integers(0, 8, 14)
+        inst = RegressionInstance(rows[drawn] * weight[drawn, None], resp[drawn] * weight[drawn])
+        for lam in (0.2, 1.0):
+            result = solve_rlad(inst, lam)
+            exact = l1_vertex_minimum(inst, lam)
+            assert result.converged and result.gap <= 1e-6
+            assert abs(result.objective_value - exact) / exact < 1e-12
+            history = np.asarray(result.objective_history)
+            assert np.all(np.diff(history) <= 0)
+            assert result.objective_value == history[-1]
+
+
+def test_rlad_falls_back_to_irls_when_the_descent_fails(monkeypatch):
+    # A failed descent leaves the iterate to IRLS and its stall test, with
+    # no certificate, and its pivots still count as iterations.
+    monkeypatch.setattr(solvers, "_l1_vertex_descent", lambda A, b, lam, x: (None, 7, None))
+    inst = _instance(10, 40, 4)
+    result = solve_rlad(inst, 0.7, tol=1e-8, max_iter=100_000)
+    assert result.converged and result.gap == np.inf
+    history = np.asarray(result.objective_history)
+    assert result.iterations == history.size - 1 + 7
+    assert np.all(np.diff(history) <= 0)
 
 
 def test_rlad_lambda_zero_on_repeated_rows_stays_finite_and_monotone():
@@ -298,8 +320,9 @@ def test_rlad_lambda_zero_with_a_zero_column_stays_finite_and_monotone():
 
 def test_rlad_table_sweep_count(monkeypatch):
     # The first of the sixteen n = 400 tables of the rlad-small benchmark
-    # workload at seed 2.  The bound sits between the 145 sweeps it takes
-    # with certificates and the 272 the stall test alone takes.
+    # workload at seed 2.  With the vertex descent its eleven solves take
+    # 54 sweeps and pivots; the threshold polish it replaced took 145, and
+    # the stall test alone 272.
     seen = []
 
     def counted(instance, lam, **kw):
@@ -315,7 +338,7 @@ def test_rlad_table_sweep_count(monkeypatch):
     ))
     assert len(seen) == 11
     assert all(r.converged and r.gap <= 1e-6 for r in seen)
-    assert sum(r.iterations for r in seen) <= 200
+    assert sum(r.iterations for r in seen) <= 80
 
 
 def test_multiresponse_rlad_single_column_matches():
@@ -337,6 +360,19 @@ def test_multiresponse_rlad_duplicate_columns():
     assert result.objective_value == pytest.approx(total, abs=1e-10)
     with pytest.raises(ShapeError):
         solve_multiresponse_rlad(inst.design, B[:-1], 0.4)
+
+
+def test_multiresponse_rlad_certifies_every_column(l1_vertex_minimum):
+    inst = _instance(17, 12, 3)
+    rng = np.random.default_rng(17)
+    B = np.column_stack([inst.response, rng.standard_normal(12), -2.0 * inst.response])
+    result = solve_multiresponse_rlad(inst.design, B, 0.3)
+    assert result.converged and np.isfinite(result.gap) and result.gap <= 1e-6
+    for j in range(B.shape[1]):
+        column = RegressionInstance(inst.design, B[:, j])
+        exact = l1_vertex_minimum(column, 0.3)
+        value = evaluate_objective(column, result.solution[:, j], ObjectiveSpec.rlad(0.3))
+        assert abs(value - exact) / exact < 1e-12
 
 
 def test_objective_value_matches_reported_solution():

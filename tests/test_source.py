@@ -2,6 +2,7 @@
 
 import ast
 import runpy
+import sys
 from pathlib import Path
 
 import regcoreset
@@ -31,6 +32,26 @@ def test_no_dead_imports():
         if names:
             dead[path.name] = names
     assert dead == {}
+
+
+def test_imports_only_numpy_and_the_standard_library():
+    # pyproject.toml declares numpy as the one dependency; another import
+    # (scipy.optimize for an LP, say) would fail where it is not installed
+    # and would add its import time to every run.
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside = sorted({name.split(".")[0] for name in names} - allowed)
+            if outside:
+                foreign.setdefault(path.name, []).extend(outside)
+    assert foreign == {}
 
 
 def _private_definitions(tree: ast.Module) -> set:
