@@ -175,18 +175,14 @@ def _cmd_solve(args) -> int:
     if args.family == "ridge":
         result = solve_ridge(instance, args.lam)
     elif args.family == "lasso":
-        result = solve_lasso(instance, args.lam, tol=args.tol, max_iter=args.max_iter)
+        result = solve_lasso(instance, args.lam, tol=args.tol)
     elif args.family == "modified_lasso":
-        result = solve_modified_lasso(
-            instance, args.lam, tol=args.tol, max_iter=args.max_iter
-        )
+        result = solve_modified_lasso(instance, args.lam, tol=args.tol)
     elif args.family == "rlad":
-        result = solve_rlad(instance, args.lam, tol=args.tol, max_iter=args.max_iter)
+        result = solve_rlad(instance, args.lam, tol=args.tol)
     elif args.family == "lp_lp":
-        result = solve_lp_lp(
-            instance, args.p, args.lam, tol=args.tol, max_iter=args.max_iter
-        )
-    ignored = ["tol", "max_iter"] if args.family == "ridge" else []  # closed form
+        result = solve_lp_lp(instance, args.p, args.lam, tol=args.tol)
+    ignored = ["tol"] if args.family == "ridge" else []  # closed form
     payload = {"config": _config(args, *ignored, p=spec.p), **result.to_dict()}
     _write(canonical_json(payload), args.out)
     return 0
@@ -321,10 +317,9 @@ def build_parser() -> _Parser:
     s.add_argument("--lambda", dest="lam", type=float, default=0.0)
     s.add_argument("--p", type=float, default=2.0)
     s.add_argument("--tol", type=float, default=1e-7,
-                   help="relative duality-gap bound; stall tolerance for p in (1, 4]")
-    s.add_argument("--max-iter", type=int, default=20000,
-                   help="cap on active-set steps (lasso families), or on IRLS sweeps "
-                        "and vertex-descent pivots")
+                   help="lasso families: relative gap bound at lambda > 0, KKT "
+                        "residual at lambda = 0; rlad: gap bound at lambda > 0, "
+                        "else stall tolerance; lp_lp: stall tolerance")
     s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_solve)
 

@@ -397,7 +397,7 @@ def run_sparsity_experiment(config: ExperimentConfig) -> DataTable:
                 raise RuntimeError(
                     f"{method} failed to converge at lambda={lam}"
                 )
-            cells[mi][li] = sparsity_count(result.solution, 1e-6)
+            cells[mi][li] = sparsity_count(result.solution)
     return DataTable(
         row_labels=list(methods),
         col_labels=[format(lam, "g") for lam in config.lambda_grid],

@@ -203,15 +203,15 @@ def ridge_leverage_scores(
     return SensitivityScores(values=values.sum(axis=1), scheme=SCHEME_RIDGE_LEVERAGE)
 
 
-def _sphere_grid(dim: int, resolution: int) -> np.ndarray:
-    """Deterministic unit directions in R^dim, columns of the result."""
+def _sphere_grid(dim: int) -> np.ndarray:
+    """Deterministic unit directions in R^dim, 64 angles per axis, as columns."""
     if dim == 1:
         return np.array([[1.0, -1.0]])
     if dim == 2:
-        theta = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+        theta = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         return np.vstack([np.cos(theta), np.sin(theta)])
-    theta = np.linspace(0.0, np.pi, resolution)
-    phi = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+    theta = np.linspace(0.0, np.pi, 64)
+    phi = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     T, P = np.meshgrid(theta, phi, indexing="ij")
     dirs = np.vstack(
         [
@@ -224,23 +224,16 @@ def _sphere_grid(dim: int, resolution: int) -> np.ndarray:
 
 
 def brute_force_sensitivity(
-    instance: RegressionInstance,
-    spec: ObjectiveSpec,
-    grid_resolution: int = 64,
-    radius_levels: int = 9,
+    instance: RegressionInstance, spec: ObjectiveSpec
 ) -> SensitivityScores:
     """Grid under-approximation of the true sensitivities, d + 1 <= 3 only.
 
     Candidate queries are unit directions in the augmented space (the ratio is
     scale invariant there) plus [rho*u, -1] for unit u in the design space and
-    rho on a log grid between 1e-3 and 1e3, where the pinned last coordinate
-    breaks scale invariance.  Being a max over finitely many queries, the
+    rho on a 9-point log grid between 1e-3 and 1e3, where the pinned last
+    coordinate breaks scale invariance.  Being a max over finitely many queries, the
     result never exceeds the true sensitivity.
     """
-    if grid_resolution < 16:
-        raise ValueError(f"grid_resolution must be >= 16, got {grid_resolution}")
-    if radius_levels < 1:
-        raise ValueError(f"radius_levels must be >= 1, got {radius_levels}")
     m = instance.d + 1
     if m > 3:
         raise DimensionTooLargeError(
@@ -250,9 +243,9 @@ def brute_force_sensitivity(
     aprime = augment(instance)
     n = instance.n
 
-    candidates = [_sphere_grid(m, grid_resolution)]
-    dirs = _sphere_grid(instance.d, grid_resolution)
-    radii = np.logspace(-3.0, 3.0, radius_levels)
+    candidates = [_sphere_grid(m)]
+    dirs = _sphere_grid(instance.d)
+    radii = np.logspace(-3.0, 3.0, 9)
     scaled = dirs[:, None, :] * radii[None, :, None]  # (d, levels, dirs)
     scaled = scaled.reshape(instance.d, -1)
     pinned = np.vstack([scaled, -np.ones(scaled.shape[1])])

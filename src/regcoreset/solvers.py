@@ -57,6 +57,10 @@ _SINE_TOL = 1e-5  # least sine of a column to the earlier ones in a Gram solve
 _VERTEX_GATE = 1e-2
 _BASIS_SINE = 1e-3
 _PIVOTS_PER_COLUMN = 10
+# Caps on active-set steps and on IRLS sweeps (the descent's pivots are not
+# counted), read at call time rather than bound as default arguments.
+_ACTIVE_SET_STEPS = 20000
+_IRLS_SWEEPS = 500
 
 
 @dataclass(frozen=True)
@@ -128,11 +132,9 @@ def multiresponse_rlad_objective(A, B, X, lam: float) -> float:
     return float(np.sum(np.abs(A @ X - B)) + lam * np.sum(np.abs(X)))
 
 
-def sparsity_count(x, threshold: float = 1e-6) -> int:
-    """Number of coordinates with |x_j| strictly below the threshold."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    return int(np.sum(np.abs(as_vector(x, "x")) < threshold))
+def sparsity_count(x) -> int:
+    """Number of coordinates with |x_j| strictly below 1e-6."""
+    return int(np.sum(np.abs(as_vector(x, "x")) < 1e-6))
 
 
 def solve_ridge(instance: RegressionInstance, lam: float) -> SolverResult:
@@ -165,7 +167,7 @@ def solve_ridge(instance: RegressionInstance, lam: float) -> SolverResult:
     )
 
 
-def _active_set(instance, spec, tol, max_iter) -> SolverResult:
+def _active_set(instance, spec, tol) -> SolverResult:
     """Lawson-Hanson active-set steps for ||Ax - b||_2^2 + lam*||x||_1^s.
 
     With x = z+ - z-, z >= 0 and (R, c) the instance's squared-loss factor,
@@ -176,8 +178,10 @@ def _active_set(instance, spec, tol, max_iter) -> SolverResult:
     stops where one reaches zero, which leaves the set; at a minimum, the
     variable with the largest negative gradient w = q - Qz enters.  The
     steps end when none exceeds _KKT_TOL (||q||_inf + linear term), before a
-    step that would raise the objective, or at a minimum no lower than the
-    last one: only rounding causes those two.
+    step that would raise the objective, at a minimum no lower than the
+    last one (only rounding causes those two), or after _ACTIVE_SET_STEPS
+    steps.  tol bounds the certified gap at lam > 0 and the relative KKT
+    residual at lam = 0, where there is no dual bound.
     By weak duality the dual point u = 2(Rx - c), scaled for the lasso so
     that ||R^T u||_inf <= lam, bounds the minimum below: it certifies gap.
     When that gap is above tol, the x of one more solve on the passive face
@@ -199,7 +203,7 @@ def _active_set(instance, spec, tol, max_iter) -> SolverResult:
     z, passive = np.zeros(2 * d), np.zeros(2 * d, dtype=bool)
     history = [objective(z)]
     at_minimum, iterations, last_minimum = True, 0, history[0]
-    while iterations < max_iter:
+    while iterations < _ACTIVE_SET_STEPS:
         if at_minimum:
             w = np.where(passive, -np.inf, q - Q @ z)
             if not w.max() > _KKT_TOL * scale:
@@ -293,41 +297,28 @@ def _gap(R, c, lam, modified, x, objective, tol) -> float:
 
 
 def solve_lasso(
-    instance: RegressionInstance,
-    lam: float,
-    tol: float = 1e-8,
-    max_iter: int = 20000,
+    instance: RegressionInstance, lam: float, tol: float = 1e-8
 ) -> SolverResult:
     """||Ax - b||_2^2 + lam*||x||_1, exactly, by active-set steps."""
-    return _active_set(instance, ObjectiveSpec.lasso(lam), tol, max_iter)
+    return _active_set(instance, ObjectiveSpec.lasso(lam), tol)
 
 
 def solve_modified_lasso(
-    instance: RegressionInstance,
-    lam: float,
-    tol: float = 1e-8,
-    max_iter: int = 20000,
+    instance: RegressionInstance, lam: float, tol: float = 1e-8
 ) -> SolverResult:
     """||Ax - b||_2^2 + lam*||x||_1^2, exactly, by active-set steps."""
-    return _active_set(instance, ObjectiveSpec.modified_lasso(lam), tol, max_iter)
+    return _active_set(instance, ObjectiveSpec.modified_lasso(lam), tol)
 
 
 def solve_rlad(
-    instance: RegressionInstance,
-    lam: float,
-    tol: float = 1e-6,
-    max_iter: int = 20000,
+    instance: RegressionInstance, lam: float, tol: float = 1e-6
 ) -> SolverResult:
     """||Ax - b||_1 + lam*||x||_1, which is the p = 1 case of solve_lp_lp."""
-    return solve_lp_lp(instance, 1.0, lam, tol=tol, max_iter=max_iter)
+    return solve_lp_lp(instance, 1.0, lam, tol=tol)
 
 
 def solve_lp_lp(
-    instance: RegressionInstance,
-    p: float,
-    lam: float,
-    tol: float = 1e-10,
-    max_iter: int = 500,
+    instance: RegressionInstance, p: float, lam: float, tol: float = 1e-10
 ) -> SolverResult:
     """Damped IRLS for ||Ax - b||_p^p + lam*||x||_p^p, p in [1, 4].
 
@@ -353,7 +344,8 @@ def solve_lp_lp(
     and SolverResult.gap records it.  If the descent fails (a singular basis
     or its pivot cap), IRLS goes on as at every other p, where "converged"
     means the stall test: two sweeps in a row whose relative objective drop
-    and step both fall below tol.
+    and step both fall below tol.  IRLS stops unconverged after
+    _IRLS_SWEEPS sweeps; the descent's pivots do not count against it.
     """
     if not 1 <= p <= 4:
         raise ValueError(f"p must lie in [1, 4], got {p}")
@@ -377,10 +369,9 @@ def solve_lp_lp(
     res = np.inf
     lower = -np.inf  # certified lower bound on the minimum
     gap = np.inf
-    flat_sweeps = 0
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
+    flat_sweeps = pivots = sweeps = 0
+    while sweeps < _IRLS_SWEEPS:
+        sweeps += 1
         w = np.maximum(np.abs(r), smooth) ** (p - 2.0)
         v = np.maximum(np.abs(x), smooth) ** (p - 2.0)
         H = A.T @ (w[:, None] * A)
@@ -410,7 +401,6 @@ def solve_lp_lp(
         if descend and res <= _VERTEX_GATE:
             descend = False
             x_v, pivots, y = _l1_vertex_descent(A, b, lam, x)
-            iterations += pivots
             if x_v is not None:
                 y /= max(1.0, float(np.max(np.abs(A.T @ y))) / lam)
                 lower = -float(b @ y)
@@ -430,7 +420,7 @@ def solve_lp_lp(
     return SolverResult(
         solution=x,
         objective_value=obj,
-        iterations=iterations,
+        iterations=sweeps + pivots,
         converged=converged,
         optimality_residual=float(res),
         objective_history=history,
@@ -593,9 +583,7 @@ def _vertex_basis(M, distance):
     return np.array(basis)
 
 
-def solve_multiresponse_rlad(
-    A, B, lam: float, tol: float = 1e-6, max_iter: int = 20000
-) -> SolverResult:
+def solve_multiresponse_rlad(A, B, lam: float, tol: float = 1e-6) -> SolverResult:
     """Column-by-column RLAD; the objective is separable across responses.
 
     The relative gap of the sum is at most the largest column gap.
@@ -611,9 +599,7 @@ def solve_multiresponse_rlad(
     converged = True
     res = gap = 0.0
     for j in range(B.shape[1]):
-        sub = solve_rlad(
-            RegressionInstance(A, B[:, j]), lam, tol=tol, max_iter=max_iter
-        )
+        sub = solve_rlad(RegressionInstance(A, B[:, j]), lam, tol=tol)
         columns.append(sub.solution)
         total += sub.objective_value
         iterations = max(iterations, sub.iterations)

@@ -340,7 +340,7 @@ def test_09_solver_oracle_equivalences(l1_vertex_minimum):
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
         inst = RegressionInstance(rng.standard_normal((30, 3)), rng.standard_normal(30))
-        rlad = solve_rlad(inst, 0.3, tol=1e-9, max_iter=100_000)
+        rlad = solve_rlad(inst, 0.3, tol=1e-9)
         exact = l1_vertex_minimum(inst, 0.3)
         agree &= abs(rlad.objective_value - exact) / exact < 1e-6
         p2 = solve_lp_lp(inst, 2.0, 0.3)
@@ -375,10 +375,8 @@ def test_10_coreset_optimum_is_near_optimal_on_full_data():
             x_full = solve_ridge(inst, lam).solution
             x_core = solve_ridge(core.as_instance(2.0), lam).solution
         else:
-            x_full = solve_modified_lasso(inst, lam, tol=1e-9, max_iter=50_000).solution
-            x_core = solve_modified_lasso(
-                core.as_instance(2.0), lam, tol=1e-7, max_iter=200_000
-            ).solution
+            x_full = solve_modified_lasso(inst, lam, tol=1e-9).solution
+            x_core = solve_modified_lasso(core.as_instance(2.0), lam, tol=1e-7).solution
         qrng = np.random.default_rng(8100 + i)
         queries = list(qrng.standard_normal((200, 5))) + [x_full, x_core]
         report = verify_coreset(inst, core, spec, queries, epsilon)

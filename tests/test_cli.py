@@ -358,6 +358,16 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_has_no_iteration_cap_flag(tmp_path, capsys):
+    # The caps are solver constants: --max-iter is an unknown flag.
+    inst = _write_instance(tmp_path / "i.json", [[1.0], [2.0]], [1.0, 3.0])
+    argv = ["solve", "--instance", inst, "--family", "lasso", "--lambda", "0.5",
+            "--out", str(tmp_path / "s.json")]
+    assert dispatch(argv) == 0
+    assert dispatch([*argv, "--max-iter", "5"]) == 1
+    capsys.readouterr()
+
+
 def test_malformed_list_flags_name_their_field(capsys):
     for flag, text, field in (("--lambda-grid", "x,1", "lambda_grid"),
                               ("--sample-sizes", "2.5", "sample_sizes")):
@@ -452,14 +462,10 @@ def test_coreset_document_matches_library(ng_path, tmp_path, case):
 # family -> (extra flags, p echoed, library call at the CLI defaults)
 _FAMILY_SOLVES = {
     "ridge": ([], 2.0, lambda inst: solve_ridge(inst, 0.5)),
-    "lasso": ([], 2.0, lambda inst: solve_lasso(inst, 0.5, tol=1e-7, max_iter=20000)),
-    "modified_lasso": (
-        [], 2.0, lambda inst: solve_modified_lasso(inst, 0.5, tol=1e-7, max_iter=20000)
-    ),
-    "rlad": ([], 1.0, lambda inst: solve_rlad(inst, 0.5, tol=1e-7, max_iter=20000)),
-    "lp_lp": (
-        ["--p", "1.5"], 1.5, lambda inst: solve_lp_lp(inst, 1.5, 0.5, tol=1e-7, max_iter=20000)
-    ),
+    "lasso": ([], 2.0, lambda inst: solve_lasso(inst, 0.5, tol=1e-7)),
+    "modified_lasso": ([], 2.0, lambda inst: solve_modified_lasso(inst, 0.5, tol=1e-7)),
+    "rlad": ([], 1.0, lambda inst: solve_rlad(inst, 0.5, tol=1e-7)),
+    "lp_lp": (["--p", "1.5"], 1.5, lambda inst: solve_lp_lp(inst, 1.5, 0.5, tol=1e-7)),
 }
 
 
@@ -474,10 +480,10 @@ def test_solve_document_matches_library(ng_path, tmp_path, family):
     result = solve(_read_instance(ng_path))
     expected_config = {
         "subcommand": "solve", "instance": ng_path, "coreset": None, "family": family,
-        "lambda": 0.5, "p": p, "tol": 1e-7, "max_iter": 20000,
+        "lambda": 0.5, "p": p, "tol": 1e-7,
     }
-    if family == "ridge":  # the closed form reads neither --tol nor --max-iter
-        del expected_config["tol"], expected_config["max_iter"]
+    if family == "ridge":  # the closed form reads no --tol
+        del expected_config["tol"]
     assert doc.pop("config") == expected_config
     assert doc == json.loads(json.dumps({
         "solution": result.solution.tolist(),

@@ -292,11 +292,6 @@ def test_brute_force_validation():
     inst = RegressionInstance(np.random.default_rng(0).standard_normal((5, 3)), np.zeros(5))
     with pytest.raises(DimensionTooLargeError):
         brute_force_sensitivity(inst, ObjectiveSpec.ridge(1.0))
-    small = RegressionInstance(np.array([[1.0]]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        brute_force_sensitivity(small, ObjectiveSpec.ridge(1.0), grid_resolution=8)
-    with pytest.raises(ValueError):
-        brute_force_sensitivity(small, ObjectiveSpec.ridge(1.0), radius_levels=0)
 
 
 def test_brute_force_below_rlad_bound_rowwise():

@@ -72,11 +72,9 @@ def test_multiresponse_objective_separates():
 
 
 def test_sparsity_count_rules():
-    assert sparsity_count(np.array([0.0, 1e-7, 0.5]), 1e-6) == 2
-    assert sparsity_count(np.zeros(7), 1e-6) == 7
-    assert sparsity_count(np.array([1e-6]), 1e-6) == 0  # strict inequality
-    with pytest.raises(ValueError):
-        sparsity_count(np.array([1.0]), 0.0)
+    assert sparsity_count(np.array([0.0, 1e-7, 0.5])) == 2
+    assert sparsity_count(np.zeros(7)) == 7
+    assert sparsity_count(np.array([1e-6])) == 0  # strict inequality
 
 
 def test_ridge_hand_example():
@@ -176,7 +174,7 @@ def test_rlad_shrinks_to_zero():
 def test_rlad_beats_least_squares_point():
     inst = _instance(10, 40, 4)
     lam = 0.7
-    result = solve_rlad(inst, lam, tol=1e-8, max_iter=100_000)
+    result = solve_rlad(inst, lam, tol=1e-8)
     assert result.converged
     spec = ObjectiveSpec.rlad(lam)
     ls, *_ = np.linalg.lstsq(inst.design, inst.response, rcond=None)
@@ -221,7 +219,7 @@ def test_lp_lp_validation():
 def test_cross_solver_agreement(l1_vertex_minimum):
     for seed in range(10):
         inst = _instance(100 + seed, 30, 3)
-        rlad = solve_rlad(inst, 0.3, tol=1e-9, max_iter=100_000)
+        rlad = solve_rlad(inst, 0.3, tol=1e-9)
         exact = l1_vertex_minimum(inst, 0.3)
         assert abs(rlad.objective_value - exact) / exact < 1e-6
         p2 = solve_lp_lp(inst, 2.0, 0.3)
@@ -242,7 +240,7 @@ def test_rlad_certificate_bounds_the_exact_gap(l1_vertex_minimum):
             A[6:9], b[6:9] = A[0], b[0]
         inst = RegressionInstance(A, b)
         for lam in (0.1, 0.3, 1.0):
-            result = solve_rlad(inst, lam, tol=1e-9, max_iter=100_000)
+            result = solve_rlad(inst, lam, tol=1e-9)
             exact = l1_vertex_minimum(inst, lam)
             obj = result.objective_value
             assert result.converged and result.gap <= 1e-9
@@ -276,11 +274,26 @@ def test_rlad_falls_back_to_irls_when_the_descent_fails(monkeypatch):
     # no certificate, and its pivots still count as iterations.
     monkeypatch.setattr(solvers, "_l1_vertex_descent", lambda A, b, lam, x: (None, 7, None))
     inst = _instance(10, 40, 4)
-    result = solve_rlad(inst, 0.7, tol=1e-8, max_iter=100_000)
+    result = solve_rlad(inst, 0.7, tol=1e-8)
     assert result.converged and result.gap == np.inf
     history = np.asarray(result.objective_history)
     assert result.iterations == history.size - 1 + 7
     assert np.all(np.diff(history) <= 0)
+
+
+def test_rlad_finishes_by_irls_when_the_descent_reaches_its_pivot_cap(l1_vertex_minimum):
+    # Data rows +-e_1 and -2 e_2 with b_i = 0 share their hyperplanes with the
+    # penalty rows lam e_1 and lam e_2.  Merging identical rows leaves those
+    # degenerate vertices in place, the descent cycles until its 10 d pivots
+    # are spent, and IRLS finishes under the stall test.
+    A = [[-1, 0, 0], [1, 0, 1], [1, 1, -2], [1, 0, 0], [0, 0, 0], [0, -2, 0], [-1, 1, 0]]
+    inst = RegressionInstance(A, [0, -1, -1, 0, -1, 0, 0])
+    result = solve_rlad(inst, 0.0379)
+    exact = l1_vertex_minimum(inst, 0.0379)
+    assert result.converged
+    assert abs(result.objective_value - exact) <= 1e-6 * exact
+    # One history entry per sweep, and one more only for a vertex taken.
+    assert len(result.objective_history) - 1 <= solvers._IRLS_SWEEPS
 
 
 def test_rlad_lambda_zero_on_repeated_rows_stays_finite_and_monotone():
@@ -343,10 +356,8 @@ def test_rlad_table_sweep_count(monkeypatch):
 
 def test_multiresponse_rlad_single_column_matches():
     inst = _instance(13, 25, 3)
-    single = solve_rlad(inst, 0.4, tol=1e-8, max_iter=100_000)
-    multi = solve_multiresponse_rlad(
-        inst.design, inst.response[:, None], 0.4, tol=1e-8, max_iter=100_000
-    )
+    single = solve_rlad(inst, 0.4, tol=1e-8)
+    multi = solve_multiresponse_rlad(inst.design, inst.response[:, None], 0.4, tol=1e-8)
     assert np.allclose(multi.solution[:, 0], single.solution, atol=1e-10)
     assert multi.objective_value == pytest.approx(single.objective_value, abs=1e-10)
 
@@ -384,7 +395,7 @@ def test_objective_value_matches_reported_solution():
             solve_modified_lasso(inst, 0.8, tol=1e-7),
             ObjectiveSpec.modified_lasso(0.8),
         ),
-        (solve_rlad(inst, 0.8, tol=1e-8, max_iter=100_000), ObjectiveSpec.rlad(0.8)),
+        (solve_rlad(inst, 0.8, tol=1e-8), ObjectiveSpec.rlad(0.8)),
         (solve_lp_lp(inst, 1.5, 0.8), ObjectiveSpec.lp_lp(1.5, 0.8)),
     ]
     for result, spec in cases:
@@ -405,7 +416,7 @@ def test_converged_solutions_beat_perturbations():
             solve_modified_lasso(inst, 0.8, tol=1e-7),
             ObjectiveSpec.modified_lasso(0.8),
         ),
-        (solve_rlad(inst, 0.8, tol=1e-8, max_iter=100_000), ObjectiveSpec.rlad(0.8)),
+        (solve_rlad(inst, 0.8, tol=1e-8), ObjectiveSpec.rlad(0.8)),
         (solve_lp_lp(inst, 1.5, 0.8), ObjectiveSpec.lp_lp(1.5, 0.8)),
     ]
     rng = np.random.default_rng(9)
@@ -526,7 +537,7 @@ def test_active_set_reaches_least_squares_at_tiny_residual():
     inst, _ = build_experiment_instance(
         ExperimentConfig(n=2000, d=30, lambda_grid=(0.0,), sample_sizes=(30,), master_seed=2)
     )
-    result = solve_modified_lasso(inst, 0.0, tol=1e-9, max_iter=50_000)
+    result = solve_modified_lasso(inst, 0.0, tol=1e-9)
     x_ls = np.linalg.lstsq(inst.design, inst.response, rcond=None)[0]
     floor = float(np.linalg.norm(inst.design @ x_ls - inst.response) ** 2)
     assert abs(result.objective_history[-1] - result.objective_value) <= (
@@ -658,20 +669,22 @@ def test_modified_lasso_converges_where_fista_stalled():
     design = rng.standard_normal((400, 5))
     response = design @ rng.standard_normal(5) + 0.2 * rng.standard_normal(400)
     result = solve_modified_lasso(
-        RegressionInstance(design, response), 0.8, tol=1e-9, max_iter=50_000
+        RegressionInstance(design, response), 0.8, tol=1e-9
     )
     assert result.converged is True
     assert result.gap <= 1e-9
     assert result.iterations <= 2 * design.shape[1]
 
 
-def test_lambda_zero_converged_is_the_kkt_check():
+def test_lambda_zero_converged_is_the_kkt_check(monkeypatch):
     # No finite dual bound exists for least squares, so gap stays inf.
     inst = _instance(9, 30, 3)
     for solve in _L1_SOLVERS.values():
         result = solve(inst, 0.0)
         assert result.converged is True and result.gap == np.inf
-        truncated = solve(inst, 0.0, max_iter=1)
+    monkeypatch.setattr(solvers, "_ACTIVE_SET_STEPS", 1)
+    for solve in _L1_SOLVERS.values():
+        truncated = solve(inst, 0.0)
         assert truncated.iterations == 1 and truncated.converged is False
 
 
