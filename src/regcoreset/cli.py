@@ -33,7 +33,7 @@ from .experiments import (
     run_relative_error_experiment,
     run_sparsity_experiment,
 )
-from .linalg import RegressionInstance, augment
+from .linalg import RegressionInstance, augment, encode_array
 from .lowerbound import demonstrate_violation
 from .objective import FAMILIES, ObjectiveSpec
 from .seeding import mix_seed
@@ -84,6 +84,8 @@ def _write(doc: str, out: str | None) -> None:
 def _load_instance(path: str) -> RegressionInstance:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"instance file {path} does not hold a JSON object")
     for key in ("design", "response"):
         if key not in doc:
             raise ValueError(f"instance file {path} missing key {key!r}")
@@ -119,9 +121,9 @@ def _cmd_gen_ng(args) -> int:
         "config": _config(args),
         "n": args.n,
         "d": args.d,
-        "design": A.tolist(),
-        "response": b.tolist(),
-        "x_true": x_true.tolist(),
+        "design": encode_array(A),
+        "response": encode_array(b),
+        "x_true": encode_array(x_true),
     }
     _write(canonical_json(payload), args.out)
     return 0

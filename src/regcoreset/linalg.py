@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import binascii
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +38,36 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return v
 
 
+def encode_array(values) -> dict:
+    """The JSON form of a float64 array: its base64 little-endian bytes and shape."""
+    a = np.asarray(values, dtype="<f8")
+    text = binascii.b2a_base64(a.tobytes(), newline=False).decode("ascii")
+    return {"dtype": "<f8", "shape": list(a.shape), "base64": text}
+
+
+def decode_array(doc: dict, name: str = "array") -> np.ndarray:
+    """Read `encode_array`'s form back bit for bit; ValueError if it is malformed."""
+    dtype, shape, text = doc.get("dtype"), doc.get("shape"), doc.get("base64")
+    if dtype != "<f8":
+        raise ValueError(f"{name} dtype must be '<f8', got {dtype!r}")
+    if not (
+        isinstance(shape, list)
+        and len(shape) in (1, 2)
+        and all(type(k) is int and k >= 0 for k in shape)
+    ):
+        raise ValueError(f"{name} shape must list 1 or 2 sizes, got {shape!r}")
+    if not isinstance(text, str):
+        raise ValueError(f"{name} base64 must be a string")
+    try:
+        data = binascii.a2b_base64(text, strict_mode=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{name} base64 is invalid: {exc}") from None
+    if len(data) != 8 * math.prod(shape):
+        raise ValueError(f"{name} holds {len(data)} bytes, shape {shape} needs "
+                         f"{8 * math.prod(shape)}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
+
+
 @dataclass(frozen=True)
 class RegressionInstance:
     """A design matrix paired with a response vector.
@@ -43,15 +75,20 @@ class RegressionInstance:
     The instance owns read-only copies of both arrays, so nothing the caller
     does afterwards can change it, and it caches its squared-loss factor.
     Tallness (n >= d) is not required here; operations that need it, such as
-    basis construction and leverage scores, check it themselves.
+    basis construction and leverage scores, check it themselves.  Each array
+    may also be given in `encode_array`'s form, as an instance file holds it.
     """
 
     design: np.ndarray
     response: np.ndarray
 
     def __post_init__(self):
-        design = as_matrix(np.array(self.design, dtype=float), "design")
-        response = as_vector(np.array(self.response, dtype=float), "response")
+        design, response = (
+            decode_array(values, name) if isinstance(values, dict) else values
+            for values, name in ((self.design, "design"), (self.response, "response"))
+        )
+        design = as_matrix(np.array(design, dtype=float), "design")
+        response = as_vector(np.array(response, dtype=float), "response")
         if design.shape[0] != response.shape[0]:
             raise ShapeError(
                 f"design has {design.shape[0]} rows but response has "

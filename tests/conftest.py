@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from regcoreset import experiments
+from regcoreset.linalg import encode_array
 
 
 @pytest.fixture(autouse=True)
@@ -82,3 +83,23 @@ def _l1_penalized_least_squares_minimum(instance, lam: float, s: int) -> float:
 @pytest.fixture
 def l1_penalized_least_squares_minimum():
     return _l1_penalized_least_squares_minimum
+
+
+@pytest.fixture
+def malformed_arrays():
+    """Each malformed encoding of [[1, 2], [3, 4]], with a word its error names."""
+    good = encode_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    return {
+        "big-endian": ({**good, "dtype": ">f8"}, "dtype"),
+        "float32": ({**good, "dtype": "<f4"}, "dtype"),
+        "no dtype": ({"shape": [2, 2], "base64": good["base64"]}, "dtype"),
+        "too few bytes": ({**good, "shape": [2, 3]}, "bytes"),
+        "too many bytes": ({**good, "shape": [3]}, "bytes"),
+        "3-D": ({**good, "shape": [1, 2, 2]}, "shape"),
+        "0-D": ({**good, "shape": []}, "shape"),
+        "negative size": ({**good, "shape": [-2, -2]}, "shape"),
+        "non-integer size": ({**good, "shape": [2.0, 2]}, "shape"),
+        "invalid base64": ({**good, "base64": "$" + good["base64"][1:]}, "base64"),
+        "bad padding": ({**good, "base64": good["base64"][:-1]}, "base64"),
+        "not a string": ({**good, "base64": 5}, "base64"),
+    }

@@ -19,7 +19,7 @@ from regcoreset.experiments import (
     ExperimentConfig,
     build_experiment_instance,
 )
-from regcoreset.linalg import RegressionInstance, augment
+from regcoreset.linalg import RegressionInstance, augment, decode_array, encode_array
 from regcoreset.objective import ObjectiveSpec
 from regcoreset.seeding import mix_seed
 from regcoreset.sensitivity import (
@@ -61,10 +61,10 @@ def test_gen_ng_deterministic(tmp_path):
     assert dispatch(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
-    A = np.asarray(doc["design"])
+    A = decode_array(doc["design"])
     assert A.shape == (50, 4)
     assert np.array_equal(A[-2:, 2:], np.eye(2))
-    assert len(doc["response"]) == 50
+    assert len(decode_array(doc["response"])) == 50
     assert doc["config"]["seed"] == 11
 
 
@@ -76,9 +76,9 @@ def test_gen_ng_matches_experiment_instance(tmp_path):
     instance, x_true = build_experiment_instance(
         ExperimentConfig(n=60, d=4, lambda_grid=(0.5,), sample_sizes=(10,), master_seed=11)
     )
-    assert np.array_equal(np.asarray(doc["design"]), instance.design)
-    assert np.array_equal(np.asarray(doc["response"]), instance.response)
-    assert np.array_equal(np.asarray(doc["x_true"]), x_true)
+    assert np.array_equal(decode_array(doc["design"]), instance.design)
+    assert np.array_equal(decode_array(doc["response"]), instance.response)
+    assert np.array_equal(decode_array(doc["x_true"]), x_true)
 
 
 def test_coreset_and_solve_chain(tmp_path, capsys):
@@ -356,6 +356,22 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
         core_path.write_text(text)
         assert dispatch(["solve", "--coreset", str(core_path), "--family", "ridge"]) == 1
     capsys.readouterr()
+    inst_path = tmp_path / "i3.json"
+    for text in ("5", '"design response"', "[1, 2]"):
+        inst_path.write_text(text)
+        assert dispatch(["solve", "--instance", str(inst_path), "--family", "ridge"]) == 1
+        assert dispatch(["verify", "--instance", str(inst_path), "--coreset", inst2,
+                         "--epsilon", "0.5"]) == 1
+        assert capsys.readouterr().err.count("does not hold a JSON object") == 2
+
+
+def test_malformed_encoded_instance_exits_one(tmp_path, capsys, malformed_arrays):
+    inst = tmp_path / "inst.json"
+    for case, (bad, words) in malformed_arrays.items():
+        inst.write_text(json.dumps({"design": bad, "response": encode_array([1.0, 2.0])}))
+        assert dispatch(["solve", "--instance", str(inst), "--family", "ridge"]) == 1, case
+        err = capsys.readouterr().err
+        assert err.startswith("error: design ") and words in err, case
 
 
 def test_solve_has_no_iteration_cap_flag(tmp_path, capsys):
@@ -415,7 +431,7 @@ def ng_path(tmp_path_factory):
 
 def _read_instance(path):
     doc = json.loads(Path(path).read_text())
-    return RegressionInstance(np.asarray(doc["design"]), np.asarray(doc["response"]))
+    return RegressionInstance(doc["design"], doc["response"])
 
 
 # scheme -> (extra flags, score builder on (instance, A'))
@@ -547,6 +563,30 @@ def test_bare_and_wrapped_coreset_documents_read_the_same(ng_path, tmp_path):
             docs.append([{k: v for k, v in json.loads(path.read_text()).items()
                           if k != "config"} for path in (solved, verified)])
         assert docs[0] == docs[1]
+
+
+def test_list_and_encoded_instance_documents_read_the_same(ng_path, tmp_path):
+    doc = json.loads(Path(ng_path).read_text())
+    listed = dict(doc, **{key: decode_array(doc[key]).tolist()
+                          for key in ("design", "response", "x_true")})
+    listed_path = tmp_path / "listed.json"
+    listed_path.write_text(json.dumps(listed))
+    core, solved, verified = (str(tmp_path / name) for name in ("c.json", "s.json", "v.json"))
+    family = ["--family", "rlad", "--lambda", "0.5"]
+    outputs = []
+    for inst in (ng_path, str(listed_path)):
+        for argv in (
+            ["coreset", "--instance", inst, "--scheme", "rlad", "--lambda", "0.5",
+             "--size", "30", "--seed", "3", "--out", core],
+            ["solve", "--instance", inst, *family, "--out", solved],
+            ["solve", "--coreset", core, *family, "--out", solved],
+            ["verify", "--instance", inst, "--coreset", core, *family,
+             "--epsilon", "0.5", "--queries", "20", "--out", verified],
+        ):
+            assert dispatch(argv) == 0
+            # Only the config echo of the instance path may differ.
+            outputs.append(Path(argv[-1]).read_text().replace(json.dumps(inst), "INST"))
+    assert outputs[:4] == outputs[4:]
 
 
 def test_coreset_document_of_the_former_format_exits_one(ng_path, tmp_path, capsys):

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcoreset.errors import RankDeficiencyError, ShapeError
 from regcoreset.linalg import (
@@ -10,6 +13,8 @@ from regcoreset.linalg import (
     as_matrix,
     as_vector,
     check_full_column_rank,
+    decode_array,
+    encode_array,
     entrywise_p_norm,
     induced_norm_upper,
     statistical_dimension,
@@ -34,6 +39,46 @@ def test_as_vector_rejects_bad_shapes_and_values():
         as_vector([])
     with pytest.raises(ValueError):
         as_vector([np.nan])
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.lists(_FLOATS, min_size=1, max_size=12).map(np.array),
+    st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.lists(_FLOATS, min_size=d, max_size=d), min_size=1, max_size=6
+    ).map(np.array)),
+))
+def test_array_encoding_round_trips_bit_for_bit(a):
+    doc = json.loads(json.dumps(encode_array(a)))
+    back = decode_array(doc)
+    assert back.dtype == np.float64
+    assert back.shape == a.shape
+    assert back.tobytes() == a.tobytes()
+
+
+def test_encoded_instance_equals_list_instance():
+    rng = np.random.default_rng(5)
+    A, b = rng.standard_normal((7, 3)), rng.standard_normal(7)
+    A[0, 0], b[1] = -0.0, 5e-324
+    from_lists = RegressionInstance(A.tolist(), b.tolist())
+    encoded = json.loads(json.dumps([encode_array(A), encode_array(b)]))
+    from_encoded = RegressionInstance(*encoded)
+    assert from_encoded.design.tobytes() == from_lists.design.tobytes()
+    assert from_encoded.response.tobytes() == from_lists.response.tobytes()
+    assert not from_encoded.design.flags.writeable
+
+
+def test_decode_array_rejects_malformed_input(malformed_arrays):
+    for doc, words in malformed_arrays.values():
+        with pytest.raises(ValueError, match=words):
+            decode_array(doc)
 
 
 def test_instance_shape_agreement():
