@@ -59,9 +59,12 @@ def decode_array(doc: dict, name: str = "array") -> np.ndarray:
     if not isinstance(text, str):
         raise ValueError(f"{name} base64 must be a string")
     try:
-        data = binascii.a2b_base64(text, strict_mode=True)
-    except binascii.Error as exc:
+        data = binascii.a2b_base64(text)
+    except ValueError as exc:
         raise ValueError(f"{name} base64 is invalid: {exc}") from None
+    # a2b_base64 skips stray characters; only canonical text re-encodes to itself.
+    if binascii.b2a_base64(data, newline=False) != text.encode("ascii"):
+        raise ValueError(f"{name} base64 is not canonical base64 text")
     if len(data) != 8 * math.prod(shape):
         raise ValueError(f"{name} holds {len(data)} bytes, shape {shape} needs "
                          f"{8 * math.prod(shape)}")

@@ -101,5 +101,8 @@ def malformed_arrays():
         "non-integer size": ({**good, "shape": [2.0, 2]}, "shape"),
         "invalid base64": ({**good, "base64": "$" + good["base64"][1:]}, "base64"),
         "bad padding": ({**good, "base64": good["base64"][:-1]}, "base64"),
+        "line break": ({**good, "base64": good["base64"][:8] + "\n" + good["base64"][8:]},
+                       "base64"),
+        "non-ASCII": ({**good, "base64": "\u00e9" + good["base64"][1:]}, "base64"),
         "not a string": ({**good, "base64": 5}, "base64"),
     }
