@@ -117,11 +117,13 @@ def _cmd_gen_ng(args) -> int:
     rng = np.random.default_rng(mix_seed(args.seed, _TAG_XTRUE))
     x_true = rng.standard_normal(args.d)
     b = generate_response(A, x_true, args.noise_scale, mix_seed(args.seed, _TAG_NOISE))
+    design = encode_array(A)
+    del A  # only its encoding is held while the document is written
     payload = {
         "config": _config(args),
         "n": args.n,
         "d": args.d,
-        "design": encode_array(A),
+        "design": design,
         "response": encode_array(b),
         "x_true": encode_array(x_true),
     }

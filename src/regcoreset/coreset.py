@@ -202,6 +202,11 @@ def _checked_queries(
         raise ShapeError(
             f"coreset is {coreset.d}-dimensional but instance has d={instance.d}"
         )
+    if coreset.n_source != instance.n:
+        raise ShapeError(
+            f"coreset was drawn from {coreset.n_source} rows but instance has "
+            f"n={instance.n}"
+        )
     return queries
 
 

@@ -149,8 +149,8 @@ def generate_ng_matrix(n: int, d: int, alpha: float, seed: int) -> np.ndarray:
         raise ValueError(f"d must be even and >= 2, got {d}")
     if n <= d // 2:
         raise ValueError(f"need n > d/2, got n={n}, d={d}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     half = d // 2
     rng = np.random.default_rng(seed)
     top = np.hstack(
@@ -171,8 +171,8 @@ def generate_response(A, x_true, noise_scale: float, seed: int) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     x_true = np.asarray(x_true, dtype=float)
-    if noise_scale < 0:
-        raise ValueError(f"noise_scale must be >= 0, got {noise_scale}")
+    if not 0 <= noise_scale < np.inf:
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
     signal = A @ x_true
     if noise_scale == 0:
         return signal

@@ -40,8 +40,8 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
 
 def encode_array(values) -> dict:
     """The JSON form of a float64 array: its base64 little-endian bytes and shape."""
-    a = np.asarray(values, dtype="<f8")
-    text = binascii.b2a_base64(a.tobytes(), newline=False).decode("ascii")
+    a = np.asarray(values, dtype="<f8", order="C")
+    text = binascii.b2a_base64(a, newline=False).decode("ascii")
     return {"dtype": "<f8", "shape": list(a.shape), "base64": text}
 
 
@@ -62,8 +62,14 @@ def decode_array(doc: dict, name: str = "array") -> np.ndarray:
         data = binascii.a2b_base64(text)
     except ValueError as exc:
         raise ValueError(f"{name} base64 is invalid: {exc}") from None
-    # a2b_base64 skips stray characters; only canonical text re-encodes to itself.
-    if binascii.b2a_base64(data, newline=False) != text.encode("ascii"):
+    # a2b_base64 skips stray characters; only canonical text re-encodes to
+    # itself.  Base64 maps 3-byte blocks independently, so compare by slices.
+    view, step = memoryview(data), 3 << 18
+    if len(text) != 4 * -(-len(data) // 3) or any(
+        binascii.b2a_base64(view[k:k + step], newline=False).decode("ascii")
+        != text[k // 3 * 4:(k + step) // 3 * 4]
+        for k in range(0, len(data), step)
+    ):
         raise ValueError(f"{name} base64 is not canonical base64 text")
     if len(data) != 8 * math.prod(shape):
         raise ValueError(f"{name} holds {len(data)} bytes, shape {shape} needs "
@@ -86,12 +92,13 @@ class RegressionInstance:
     response: np.ndarray
 
     def __post_init__(self):
-        design, response = (
-            decode_array(values, name) if isinstance(values, dict) else values
+        design, response = (  # a freshly decoded array is already a read-only copy
+            decode_array(values, name) if isinstance(values, dict)
+            else np.array(values, dtype=float)
             for values, name in ((self.design, "design"), (self.response, "response"))
         )
-        design = as_matrix(np.array(design, dtype=float), "design")
-        response = as_vector(np.array(response, dtype=float), "response")
+        design = as_matrix(design, "design")
+        response = as_vector(response, "response")
         if design.shape[0] != response.shape[0]:
             raise ShapeError(
                 f"design has {design.shape[0]} rows but response has "

@@ -192,13 +192,12 @@ def ridge_leverage_scores(
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    aprime = augment(instance)
-    if aprime.shape[0] < aprime.shape[1]:
+    if instance.n < instance.d + 1:
         raise ShapeError("leverage scores need a tall matrix")
     _, sigma, vt = np.linalg.svd(np.column_stack(instance.squared_loss_factor))
     if lam == 0:
         check_full_column_rank(sigma, "aprime")
-    values = aprime @ (vt.T / np.sqrt(sigma**2 + lam))
+    values = augment(instance) @ (vt.T / np.sqrt(sigma**2 + lam))
     values **= 2
     return SensitivityScores(values=values.sum(axis=1), scheme=SCHEME_RIDGE_LEVERAGE)
 

@@ -1,6 +1,7 @@
 """Oracles shared by several test modules."""
 
 import itertools
+import string
 
 import numpy as np
 import pytest
@@ -85,10 +86,36 @@ def l1_penalized_least_squares_minimum():
     return _l1_penalized_least_squares_minimum
 
 
+_BASE64_DIGITS = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
+def _set_trailing_bit(doc: dict) -> dict:
+    """doc with the low bit of its last base64 digit set.
+
+    With 3k + 2 bytes (text ending in one "=") the last digit carries two
+    zero bits past the data, so lenient decoding returns the same bytes:
+    1.5, "AAAAAAAA+D8=", becomes "AAAAAAAA+D9=".
+    """
+    text = doc["base64"]
+    assert text.endswith("=") and not text.endswith("==")
+    digit = _BASE64_DIGITS[_BASE64_DIGITS.index(text[-2]) | 1]
+    return {**doc, "base64": text[:-2] + digit + "="}
+
+
 @pytest.fixture
 def malformed_arrays():
-    """Each malformed encoding of [[1, 2], [3, 4]], with a word its error names."""
+    """Malformed array encodings, each with a word its error names.
+
+    Most spoil the encoding of [[1, 2], [3, 4]].  The late, trailing and
+    trailing-bit cases hide a change that lenient base64 decoding ignores
+    past the first slices the canonical-text check compares, or after them.
+    """
     good = encode_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    big = encode_array(np.arange(600_000.0).reshape(20_000, 30))
+    head, tail = big["base64"][:5_200_000], big["base64"][5_200_000:]
+    # 4096 x 24 floats are exactly one 1 MiB slice of text, so a character
+    # after it falls outside every slice.
+    whole_slice = encode_array(np.zeros((4096, 24)))
     return {
         "big-endian": ({**good, "dtype": ">f8"}, "dtype"),
         "float32": ({**good, "dtype": "<f4"}, "dtype"),
@@ -104,5 +131,12 @@ def malformed_arrays():
         "line break": ({**good, "base64": good["base64"][:8] + "\n" + good["base64"][8:]},
                        "base64"),
         "non-ASCII": ({**good, "base64": "\u00e9" + good["base64"][1:]}, "base64"),
+        "late line break": ({**big, "base64": head + "\n" + tail}, "base64"),
+        "late stray character": ({**big, "base64": head + "*" + tail}, "base64"),
+        "trailing line break": ({**whole_slice, "base64": whole_slice["base64"] + "\n"},
+                                "base64"),
+        "non-zero trailing bits": (_set_trailing_bit(encode_array([1.5])), "base64"),
+        "late non-zero trailing bits": (_set_trailing_bit(encode_array(np.arange(600_001.0))),
+                                        "base64"),
         "not a string": ({**good, "base64": 5}, "base64"),
     }

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import regcoreset
-from regcoreset.cli import _EXPERIMENT_FLAGS, _load_coreset, dispatch
+from regcoreset.cli import _EXPERIMENT_FLAGS, _load_coreset, _load_instance, dispatch
 from regcoreset.conditioning import p_conditioned_basis
 from regcoreset.coreset import build_coreset, identity_coreset, verify_coreset
 from regcoreset.experiments import (
@@ -348,6 +349,10 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
         )
         == 1
     )
+    inst3 = _write_instance(tmp_path / "rows3.json", np.ones((3, 2)).tolist(), [1.0, 1.0, 1.0])
+    assert dispatch(["verify", "--instance", inst3, "--coreset", str(core_path),
+                     "--epsilon", "0.5"]) == 1
+    assert "coreset was drawn from 2 rows but instance has n=3" in capsys.readouterr().err
     assert dispatch(["coreset", "--instance", inst, "--scheme", "uniform"]) == 1
     assert dispatch(["solve", "--family", "ridge"]) == 1
     assert dispatch(["solve", "--instance", inst, "--coreset", inst, "--family", "ridge"]) == 1
@@ -372,6 +377,37 @@ def test_malformed_encoded_instance_exits_one(tmp_path, capsys, malformed_arrays
         assert dispatch(["solve", "--instance", str(inst), "--family", "ridge"]) == 1, case
         err = capsys.readouterr().err
         assert err.startswith("error: design ") and words in err, case
+
+
+def test_loading_an_instance_holds_about_three_designs(tmp_path):
+    # Reading keeps the file's text and the decoded bytes, and copies neither
+    # whole: the traced peak stays under 3.5 times the design's bytes.
+    rng = np.random.default_rng(5)
+    design, response = rng.standard_normal((20_000, 30)), rng.standard_normal(20_000)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"design": encode_array(design),
+                                "response": encode_array(response)}))
+    tracemalloc.start()
+    try:
+        instance = _load_instance(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * design.nbytes
+    for loaded, original in ((instance.design, design), (instance.response, response)):
+        assert not loaded.flags.writeable
+        assert loaded.tobytes() == original.tobytes()
+
+
+def test_gen_ng_rejects_non_finite_settings(tmp_path, capsys):
+    # Every reader rejects the instance a NaN or Inf setting would write.
+    out = tmp_path / "inst.json"
+    for flag, field in (("--alpha", "alpha"), ("--noise-scale", "noise_scale")):
+        for value in ("nan", "inf"):
+            argv = ["gen-ng", "--n", "20", "--d", "4", flag, value, "--out", str(out)]
+            assert dispatch(argv) == 1, (flag, value)
+            assert f"error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_has_no_iteration_cap_flag(tmp_path, capsys):

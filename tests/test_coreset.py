@@ -297,6 +297,11 @@ def test_verify_validation():
     other = _instance(9, 10, 3)
     with pytest.raises(ShapeError):
         verify_coreset(other, core, ObjectiveSpec.ridge(1.0), [np.zeros(3)], 0.5)
+    drawn_elsewhere = identity_coreset(_instance(9, 12, 2))
+    with pytest.raises(ShapeError, match="drawn from 12 rows"):
+        verify_coreset(inst, drawn_elsewhere, ObjectiveSpec.ridge(1.0), queries, 0.5)
+    with pytest.raises(ShapeError, match="drawn from 12 rows"):
+        transfer_check(inst, drawn_elsewhere, 2.0, 1.0, 1.0, queries, 0.5)
 
 
 def test_transfer_check_equal_exponents_match():
