@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .conditioning import p_conditioned_basis
 from .coreset import Coreset, build_coreset, sample_size, verify_coreset
-from .errors import TheoremInapplicableError
+from .errors import ShapeError, TheoremInapplicableError
 from .experiments import (
     _TAG_DATA,
     _TAG_NOISE,
@@ -67,8 +67,8 @@ def _check_epsilon(value: float) -> float:
 
 
 def _check_lambda(value: float) -> float:
-    if value < 0:
-        raise ValueError(f"lambda must be >= 0, got {value}")
+    if not 0 <= value < np.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {value}")
     return value
 
 
@@ -252,12 +252,16 @@ def _cmd_lowerbound(args) -> int:
     _check_lambda(args.lam)
     _check_epsilon(args.epsilon)
     spec = ObjectiveSpec(args.p, args.q, args.r, args.s, lam=args.lam)
+    instance, aprime = None, np.eye(2)  # canonical demonstration matrix
     if args.instance is not None:
-        aprime = augment(_load_instance(args.instance))
-    else:
-        aprime = np.eye(2)  # canonical demonstration matrix
+        instance = _load_instance(args.instance)
+        aprime = augment(instance)
     if args.coreset is not None:
         core = _load_coreset(args.coreset)
+        if instance is not None and core.n_source != instance.n:
+            raise ShapeError(
+                f"coreset was drawn from {core.n_source} rows but instance has n={instance.n}"
+            )
     else:
         core = Coreset(
             rows=np.array([[1.0, 0.0]]),

@@ -38,16 +38,18 @@ def sample_size(
     The count is the number of i.i.d. draws, so repeated rows are counted
     with multiplicity.
     """
-    if total_sensitivity <= 0:
-        raise ValueError(f"total sensitivity must be positive, got {total_sensitivity}")
+    if not 0 < total_sensitivity < math.inf:
+        raise ValueError(
+            f"total sensitivity must be positive and finite, got {total_sensitivity}"
+        )
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if constant <= 0:
-        raise ValueError(f"constant must be positive, got {constant}")
+    if not 0 < constant < math.inf:
+        raise ValueError(f"constant must be positive and finite, got {constant}")
     raw = (
         constant
         * total_sensitivity
@@ -156,9 +158,8 @@ def build_coreset(
         )
     idx = scores.cdf.searchsorted(np.random.default_rng(seed).random(r), side="right")
     weights = scores.total / (r * scores.values[idx])
-    kept = RegressionInstance(instance.design[idx], instance.response[idx])
     return Coreset(
-        rows=augment(kept),
+        rows=augment(instance)[idx],
         weights=weights,
         source_indices=idx,
         seed=seed,

@@ -76,8 +76,8 @@ class ExperimentConfig:
                 object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{name}: {exc}") from None
-        if not self.lambda_grid or any(v < 0 for v in self.lambda_grid):
-            raise ValueError("lambda_grid must be non-empty with entries >= 0")
+        if not self.lambda_grid or not all(0 <= v < np.inf for v in self.lambda_grid):
+            raise ValueError("lambda_grid must be non-empty with finite entries >= 0")
         if not self.sample_sizes or any(v < 1 for v in self.sample_sizes):
             raise ValueError("sample_sizes must be non-empty with entries >= 1")
         if self.trials_per_cell < 1 or self.trials_per_cell % 2 == 0:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import binascii
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -12,6 +12,7 @@ import numpy as np
 from .errors import RankDeficiencyError, ShapeError
 
 _RANK_TOL = 1e-12
+_SLICE_BYTES = 3 << 15  # about 96 KiB of floats decoded at a time
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -45,8 +46,8 @@ def encode_array(values) -> dict:
     return {"dtype": "<f8", "shape": list(a.shape), "base64": text}
 
 
-def decode_array(doc: dict, name: str = "array") -> np.ndarray:
-    """Read `encode_array`'s form back bit for bit; ValueError if it is malformed."""
+def _array_header(doc: dict, name: str) -> tuple[list, str]:
+    """The shape and text of `encode_array`'s form, after every check but decoding."""
     dtype, shape, text = doc.get("dtype"), doc.get("shape"), doc.get("base64")
     if dtype != "<f8":
         raise ValueError(f"{name} dtype must be '<f8', got {dtype!r}")
@@ -58,56 +59,92 @@ def decode_array(doc: dict, name: str = "array") -> np.ndarray:
         raise ValueError(f"{name} shape must list 1 or 2 sizes, got {shape!r}")
     if not isinstance(text, str):
         raise ValueError(f"{name} base64 must be a string")
-    try:
-        data = binascii.a2b_base64(text)
-    except ValueError as exc:
-        raise ValueError(f"{name} base64 is invalid: {exc}") from None
-    # a2b_base64 skips stray characters; only canonical text re-encodes to
-    # itself.  Base64 maps 3-byte blocks independently, so compare by slices.
-    view, step = memoryview(data), 3 << 18
-    if len(text) != 4 * -(-len(data) // 3) or any(
-        binascii.b2a_base64(view[k:k + step], newline=False).decode("ascii")
-        != text[k // 3 * 4:(k + step) // 3 * 4]
-        for k in range(0, len(data), step)
-    ):
-        raise ValueError(f"{name} base64 is not canonical base64 text")
-    if len(data) != 8 * math.prod(shape):
-        raise ValueError(f"{name} holds {len(data)} bytes, shape {shape} needs "
-                         f"{8 * math.prod(shape)}")
-    return np.frombuffer(data, dtype="<f8").reshape(shape)
+    nbytes = 8 * math.prod(shape)
+    if len(text) != 4 * -(-nbytes // 3):
+        raise ValueError(f"{name} base64 has {len(text)} characters, but the {nbytes} "
+                         f"bytes of shape {shape} take {4 * -(-nbytes // 3)}")
+    return shape, text
+
+
+def _decode_into(out: np.ndarray, text: str, name: str) -> None:
+    """Fill `out` from the canonical base64 of its row-major float64 bytes.
+
+    Decodes a few rows at a time, so `out` may be a view with strided rows
+    and no copy of the whole array is made.  The text's length is already
+    checked.  a2b_base64 skips stray characters, so each slice must re-encode
+    to itself; a slice of 3k bytes encodes apart from its neighbours, so this
+    is as strict as re-encoding the whole text.
+    """
+    grid = out if out.ndim == 2 else out[:, None]
+    width = grid.shape[1]
+    rows = 3 * max(1, _SLICE_BYTES // (24 * max(width, 1)))  # 3 | rows, so 3 | bytes
+    for k in range(0, grid.shape[0], rows):
+        block = grid[k:k + rows]
+        start = 8 * k * width // 3 * 4
+        chunk = text[start:start + 8 * rows * width // 3 * 4]
+        try:
+            data = binascii.a2b_base64(chunk)
+        except ValueError as exc:
+            raise ValueError(f"{name} base64 is invalid: {exc}") from None
+        if (len(data) != 8 * block.size
+                or binascii.b2a_base64(data, newline=False).decode("ascii") != chunk):
+            raise ValueError(f"{name} base64 is not the canonical text of {8 * out.size} bytes")
+        block[...] = np.frombuffer(data, dtype="<f8").reshape(block.shape)
+
+
+def decode_array(doc: dict, name: str = "array") -> np.ndarray:
+    """Read `encode_array`'s form back bit for bit; ValueError if it is malformed."""
+    shape, text = _array_header(doc, name)
+    out = np.empty(shape)
+    _decode_into(out, text, name)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
 class RegressionInstance:
     """A design matrix paired with a response vector.
 
-    The instance owns read-only copies of both arrays, so nothing the caller
-    does afterwards can change it, and it caches its squared-loss factor.
-    Tallness (n >= d) is not required here; operations that need it, such as
-    basis construction and leverage scores, check it themselves.  Each array
-    may also be given in `encode_array`'s form, as an instance file holds it.
+    The instance owns one read-only, C-contiguous copy of [A  b], which
+    `augment` returns; `design` and `response` are read-only views of it, so
+    nothing the caller does afterwards can change the instance.  It caches
+    its squared-loss factor.  Tallness (n >= d) is not required here;
+    operations that need it, such as basis construction and leverage scores,
+    check it themselves.  Each array may also be given in `encode_array`'s
+    form, as an instance file holds it; the design is then decoded straight
+    into [A  b].
     """
 
     design: np.ndarray
     response: np.ndarray
+    _aprime: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        design, response = (  # a freshly decoded array is already a read-only copy
-            decode_array(values, name) if isinstance(values, dict)
-            else np.array(values, dtype=float)
-            for values, name in ((self.design, "design"), (self.response, "response"))
-        )
-        design = as_matrix(design, "design")
+        design, response = self.design, self.response
+        if isinstance(design, dict):
+            shape, text = _array_header(design, "design")
+            if len(shape) != 2 or 0 in shape:  # as_matrix raises the ShapeError
+                as_matrix(decode_array(design, "design"), "design")
+            aprime = np.empty((shape[0], shape[1] + 1))
+            _decode_into(aprime[:, :-1], text, "design")
+            as_matrix(aprime[:, :-1], "design")  # rejects NaN or Inf entries
+        else:
+            design = as_matrix(design, "design")
+            aprime = np.empty((design.shape[0], design.shape[1] + 1))
+            aprime[:, :-1] = design
+        if isinstance(response, dict):
+            response = decode_array(response, "response")
         response = as_vector(response, "response")
-        if design.shape[0] != response.shape[0]:
+        if aprime.shape[0] != response.shape[0]:
             raise ShapeError(
-                f"design has {design.shape[0]} rows but response has "
+                f"design has {aprime.shape[0]} rows but response has "
                 f"{response.shape[0]} entries"
             )
-        design.flags.writeable = False
-        response.flags.writeable = False
-        object.__setattr__(self, "design", design)
-        object.__setattr__(self, "response", response)
+        aprime[:, -1] = response
+        aprime.flags.writeable = False
+        object.__setattr__(self, "_aprime", aprime)
+        object.__setattr__(self, "design", aprime[:, :-1])
+        object.__setattr__(self, "response", aprime[:, -1])
 
     @cached_property
     def squared_loss_factor(self) -> tuple[np.ndarray, np.ndarray]:
@@ -130,8 +167,8 @@ class RegressionInstance:
 
 
 def augment(instance: RegressionInstance) -> np.ndarray:
-    """Return [A  b]: the response glued on as an extra trailing column."""
-    return np.hstack([instance.design, instance.response[:, None]])
+    """Return [A  b], the response as a trailing column: the instance's own array."""
+    return instance._aprime
 
 
 def entrywise_p_norm(M, p: float) -> float:

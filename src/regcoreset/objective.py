@@ -38,8 +38,8 @@ class ObjectiveSpec:
         for name in ("r", "s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
     @classmethod
     def for_family(cls, family: str, lam: float, p: float = 2.0) -> "ObjectiveSpec":

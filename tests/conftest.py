@@ -1,5 +1,6 @@
 """Oracles shared by several test modules."""
 
+import binascii
 import itertools
 import string
 
@@ -113,9 +114,11 @@ def malformed_arrays():
     good = encode_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
     big = encode_array(np.arange(600_000.0).reshape(20_000, 30))
     head, tail = big["base64"][:5_200_000], big["base64"][5_200_000:]
-    # 4096 x 24 floats are exactly one 1 MiB slice of text, so a character
-    # after it falls outside every slice.
+    # A character after a whole number of decoding slices falls outside every
+    # slice: 4096 x 24 floats are 1 MiB of text (an earlier slice size), and
+    # 12 288 x 1 floats one 96 KiB slice of decoded rows.
     whole_slice = encode_array(np.zeros((4096, 24)))
+    whole_rows = encode_array(np.zeros((12_288, 1)))
     return {
         "big-endian": ({**good, "dtype": ">f8"}, "dtype"),
         "float32": ({**good, "dtype": "<f4"}, "dtype"),
@@ -135,6 +138,10 @@ def malformed_arrays():
         "late stray character": ({**big, "base64": head + "*" + tail}, "base64"),
         "trailing line break": ({**whole_slice, "base64": whole_slice["base64"] + "\n"},
                                 "base64"),
+        "trailing line break after whole rows": (
+            {**whole_rows, "base64": whole_rows["base64"] + "\n"}, "base64"),
+        "one byte short": ({**good, "shape": [3, 1], "base64": binascii.b2a_base64(
+            bytes(23), newline=False).decode("ascii")}, "bytes"),
         "non-zero trailing bits": (_set_trailing_bit(encode_array([1.5])), "base64"),
         "late non-zero trailing bits": (_set_trailing_bit(encode_array(np.arange(600_001.0))),
                                         "base64"),

@@ -190,6 +190,9 @@ def test_coreset_epsilon_sizing(tmp_path):
         "subcommand": "coreset", "instance": str(inst_path), "scheme": "uniform",
         "size": None, "epsilon": 0.5, "delta": 0.1, "constant": 0.5, "seed": 0,
     }
+    for constant in ("inf", "nan"):
+        assert dispatch(["coreset", "--instance", str(inst_path), "--scheme", "uniform",
+                         "--epsilon", "0.5", "--constant", constant]) == 1, constant
 
 
 def test_verify_identity_coreset(tmp_path, capsys):
@@ -303,6 +306,46 @@ def test_lowerbound_instance_without_coreset_names_both_widths(tmp_path, capsys)
     )
     assert dispatch(["lowerbound", "--instance", inst]) == 1
     assert "2 columns but aprime has 4" in capsys.readouterr().err
+
+
+def test_lowerbound_rejects_a_coreset_of_another_n(tmp_path, capsys):
+    paths = {}
+    for n in (40, 60):
+        paths[n] = str(tmp_path / f"i{n}.json")
+        assert dispatch(["gen-ng", "--n", str(n), "--d", "4", "--out", paths[n]]) == 0
+    core = str(tmp_path / "c40.json")
+    assert dispatch(["coreset", "--instance", paths[40], "--scheme", "uniform",
+                     "--size", "10", "--out", core]) == 0
+    assert dispatch(["lowerbound", "--instance", paths[60], "--coreset", core]) == 1
+    assert "coreset was drawn from 40 rows but instance has n=60" in capsys.readouterr().err
+    assert dispatch(["lowerbound", "--instance", paths[40], "--coreset", core]) == 0
+    assert dispatch(["lowerbound", "--coreset", core]) == 1  # widths differ, not n
+    assert "columns" in capsys.readouterr().err
+    # The default coreset (n_source 2) runs against an instance of any n.
+    rng = np.random.default_rng(0)
+    inst = _write_instance(tmp_path / "d1.json", rng.standard_normal((10, 1)).tolist(),
+                           rng.standard_normal(10).tolist())
+    assert dispatch(["lowerbound", "--instance", inst]) == 0
+
+
+def test_non_finite_lambda_exits_one(tmp_path, capsys):
+    inst, core = str(tmp_path / "inst.json"), str(tmp_path / "core.json")
+    assert dispatch(["gen-ng", "--n", "60", "--d", "4", "--out", inst]) == 0
+    assert dispatch(["coreset", "--instance", inst, "--scheme", "uniform",
+                     "--size", "20", "--out", core]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["solve", "--instance", inst, "--family", "rlad", "--lambda", "nan"],
+        ["solve", "--instance", inst, "--family", "ridge", "--lambda", "inf"],
+        ["verify", "--instance", inst, "--coreset", core, "--family", "ridge",
+         "--lambda", "inf", "--epsilon", "0.5"],
+        ["coreset", "--instance", inst, "--scheme", "ridge-leverage", "--size", "5",
+         "--lambda", "nan"],
+        ["lowerbound", "--lambda", "nan"],
+        ["experiment", "--n", "60", "--d", "4", "--lambda-grid", "nan"],
+    ):
+        assert dispatch(argv) == 1, argv
+        assert "must be" in capsys.readouterr().err, argv
 
 
 def test_lowerbound_echoes_every_setting(tmp_path, capsys):

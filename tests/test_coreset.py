@@ -49,10 +49,11 @@ def test_sample_size_floor_and_validation():
             sample_size(1.0, bad, 0.5, 1)
         with pytest.raises(ValueError):
             sample_size(1.0, 0.5, bad, 1)
-    with pytest.raises(ValueError):
-        sample_size(1.0, 0.5, 0.5, 1, constant=0.0)
-    with pytest.raises(ValueError):
-        sample_size(0.0, 0.5, 0.5, 1)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            sample_size(1.0, 0.5, 0.5, 1, constant=bad)
+        with pytest.raises(ValueError):
+            sample_size(bad, 0.5, 0.5, 1)
     with pytest.raises(ValueError):
         sample_size(1.0, 0.5, 0.5, 0)
 

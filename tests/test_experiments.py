@@ -44,8 +44,9 @@ def _small_config(**overrides) -> ExperimentConfig:
 def test_config_validation():
     with pytest.raises(ValueError):
         _small_config(lambda_grid=())
-    with pytest.raises(ValueError):
-        _small_config(lambda_grid=(-0.5,))
+    for bad in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            _small_config(lambda_grid=(0.5, bad))
     with pytest.raises(ValueError):
         _small_config(sample_sizes=())
     with pytest.raises(ValueError):

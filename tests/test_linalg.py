@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regcoreset.coreset import build_coreset
 from regcoreset.errors import RankDeficiencyError, ShapeError
 from regcoreset.linalg import (
     RegressionInstance,
@@ -19,6 +21,7 @@ from regcoreset.linalg import (
     induced_norm_upper,
     statistical_dimension,
 )
+from regcoreset.sensitivity import ridge_leverage_scores, uniform_scores
 
 
 def test_as_matrix_rejects_bad_shapes_and_values():
@@ -112,6 +115,32 @@ def test_instance_arrays_and_factor_are_read_only():
     for array, index in ((inst.design, (0, 0)), (inst.response, 0), (R, (0, 0)), (c, 0)):
         with pytest.raises(ValueError):
             array[index] = 5.0
+
+
+def test_instance_holds_one_array():
+    # [A b] is stored once: design, response, the factor's QR, the leverage
+    # product and the coreset's rows all read it without another n-row copy.
+    rng = np.random.default_rng(3)
+    A, b = rng.standard_normal((20_000, 30)), rng.standard_normal(20_000)
+    for inst in (RegressionInstance(A, b),
+                 RegressionInstance(encode_array(A), encode_array(b))):
+        aprime = augment(inst)
+        assert aprime is augment(inst) and aprime.flags.c_contiguous
+        for array in (aprime, inst.design, inst.response):
+            assert np.shares_memory(array, aprime) and not array.flags.writeable
+        assert aprime.tobytes() == np.column_stack([A, b]).tobytes()
+        core = build_coreset(inst, uniform_scores(inst.n), 500, seed=4)
+        assert core.rows.tobytes() == aprime[core.source_indices].tobytes()
+    # The factor is computed (and cached) first, so the leverage call's peak
+    # is its own.
+    for measure in (lambda: inst.squared_loss_factor, lambda: ridge_leverage_scores(inst, 0.5)):
+        tracemalloc.start()
+        try:
+            measure()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * aprime.nbytes
 
 
 def test_squared_loss_factor_is_computed_once():

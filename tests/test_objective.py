@@ -30,8 +30,9 @@ def test_parameter_validation():
         ObjectiveSpec(p=0.5, q=1.0, r=1.0, s=1.0, lam=0.0)
     with pytest.raises(ValueError):
         ObjectiveSpec(p=1.0, q=1.0, r=0.0, s=1.0, lam=0.0)
-    with pytest.raises(ValueError):
-        ObjectiveSpec(p=1.0, q=1.0, r=1.0, s=1.0, lam=-0.1)
+    for lam in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ObjectiveSpec(p=1.0, q=1.0, r=1.0, s=1.0, lam=lam)
 
 
 def test_for_family_dispatch():
