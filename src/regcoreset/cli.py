@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 invalid input, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -33,7 +34,7 @@ from .experiments import (
     run_relative_error_experiment,
     run_sparsity_experiment,
 )
-from .linalg import RegressionInstance, augment, encode_array
+from .linalg import RegressionInstance, augment, base64_slices, check_lambda, encode_array
 from .lowerbound import demonstrate_violation
 from .objective import FAMILIES, ObjectiveSpec
 from .seeding import mix_seed
@@ -66,19 +67,16 @@ def _check_epsilon(value: float) -> float:
     return value
 
 
-def _check_lambda(value: float) -> float:
-    if not 0 <= value < np.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {value}")
-    return value
-
-
-def _write(doc: str, out: str | None) -> None:
+def _write(doc, out: str | None) -> None:
+    """Write a document, given as its text or as its text's pieces in order."""
+    pieces = [doc] if isinstance(doc, str) else doc
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+            fh.writelines(pieces)
             fh.write("\n")
     else:
-        print(doc)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
 
 
 def _load_instance(path: str) -> RegressionInstance:
@@ -112,22 +110,27 @@ def _config(args, *ignored, **worked_out) -> dict:
     return config
 
 
+# Stands in for the design's base64 text in gen-ng's document.  No flag the
+# document echoes can hold it: a command-line argument cannot contain a NUL.
+_DESIGN_TEXT = "\x00"
+
+
 def _cmd_gen_ng(args) -> int:
     A = generate_ng_matrix(args.n, args.d, args.alpha, mix_seed(args.seed, _TAG_DATA))
     rng = np.random.default_rng(mix_seed(args.seed, _TAG_XTRUE))
     x_true = rng.standard_normal(args.d)
     b = generate_response(A, x_true, args.noise_scale, mix_seed(args.seed, _TAG_NOISE))
-    design = encode_array(A)
-    del A  # only its encoding is held while the document is written
     payload = {
         "config": _config(args),
         "n": args.n,
         "d": args.d,
-        "design": design,
+        "design": encode_array(A, text=_DESIGN_TEXT),
         "response": encode_array(b),
         "x_true": encode_array(x_true),
     }
-    _write(canonical_json(payload), args.out)
+    # The design's text is written a slice at a time, never held whole.
+    head, tail = canonical_json(payload).split(canonical_json(_DESIGN_TEXT))
+    _write(itertools.chain([head, '"'], base64_slices(A), ['"', tail]), args.out)
     return 0
 
 
@@ -143,7 +146,7 @@ def _scores_for_cli(args, instance: RegressionInstance):
 
 
 def _cmd_coreset(args) -> int:
-    _check_lambda(args.lam)
+    check_lambda(args.lam)
     if args.size is None and args.epsilon is None:
         raise ValueError("give either --size or --epsilon")
     if args.epsilon is not None:
@@ -168,7 +171,7 @@ def _cmd_coreset(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    _check_lambda(args.lam)
+    check_lambda(args.lam)
     if (args.instance is None) == (args.coreset is None):
         raise ValueError("give exactly one of --instance or --coreset")
     spec = ObjectiveSpec.for_family(args.family, args.lam, p=args.p)
@@ -193,7 +196,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_lambda(args.lam)
+    check_lambda(args.lam)
     _check_epsilon(args.epsilon)
     if args.queries < 1:
         raise ValueError(f"--queries must be >= 1, got {args.queries}")
@@ -249,7 +252,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
-    _check_lambda(args.lam)
+    check_lambda(args.lam)
     _check_epsilon(args.epsilon)
     spec = ObjectiveSpec(args.p, args.q, args.r, args.s, lam=args.lam)
     instance, aprime = None, np.eye(2)  # canonical demonstration matrix

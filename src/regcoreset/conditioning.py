@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningFailureError, ShapeError
-from .linalg import as_matrix, entrywise_p_norm, induced_norm_upper
+from .linalg import as_matrix, entrywise_p_norm, induced_norm_upper, tall_qr_r
 
 _ALPHA_MARGIN = 1.01
 # Lewis fixed-point steps at every p but 2, which needs one.  Measured at
@@ -65,7 +65,7 @@ def dual_exponent(p: float) -> float:
 
 def _positive_diag_r(M: np.ndarray) -> np.ndarray:
     """The R factor of a thin QR of M, its rows signed so that diag(R) >= 0."""
-    R = np.linalg.qr(M, mode="r")
+    R = tall_qr_r(M)
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     return signs[:, None] * R

@@ -102,8 +102,7 @@ class Coreset:
         """
         if not p >= 1:
             raise ValueError(f"p must be >= 1, got {p}")
-        scaled = self.rows * self.weights[:, None] ** (1.0 / p)
-        return RegressionInstance(scaled[:, :-1], scaled[:, -1])
+        return RegressionInstance._owning(self.rows * self.weights[:, None] ** (1.0 / p))
 
     def to_dict(self) -> dict:
         """The document form: plain lists, rows flattened row-major."""

@@ -22,7 +22,7 @@ import numpy as np
 from .conditioning import p_conditioned_basis
 from .coreset import build_coreset, identity_coreset
 from .errors import DegenerateSignalError, ParseError, SchemaError
-from .linalg import RegressionInstance, augment
+from .linalg import RegressionInstance, augment, row_blocks
 from .objective import ObjectiveSpec
 from .seeding import mix_seed
 from .sensitivity import (
@@ -145,22 +145,38 @@ def generate_ng_matrix(n: int, d: int, alpha: float, seed: int) -> np.ndarray:
     are [0, I].  The tiny alpha makes the first d/2 columns almost invisible
     to uniform sampling while the identity rows are indispensable.
     """
+    _check_ng_settings(n, d, alpha)
+    A = np.empty((n, d))
+    _fill_ng_matrix(A, alpha, seed)
+    return A
+
+
+def _check_ng_settings(n: int, d: int, alpha: float) -> None:
     if d < 2 or d % 2 != 0:
         raise ValueError(f"d must be even and >= 2, got {d}")
     if n <= d // 2:
         raise ValueError(f"need n > d/2, got n={n}, d={d}")
     if not 0 < alpha < np.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
+def _fill_ng_matrix(out: np.ndarray, alpha: float, seed: int) -> None:
+    """Write generate_ng_matrix(n, d, alpha, seed) into `out`, of shape (n, d).
+
+    `out` may be a view with strided rows.  Each block is drawn in the order
+    one whole draw takes from the stream, so the bits do not depend on the
+    block size.
+    """
+    n, d = out.shape
     half = d // 2
     rng = np.random.default_rng(seed)
-    top = np.hstack(
-        [
-            alpha * rng.standard_normal((n - half, half)),
-            1e-8 * rng.random((n - half, half)),
-        ]
-    )
-    bottom = np.hstack([np.zeros((half, half)), np.eye(half)])
-    return np.vstack([top, bottom])
+    top = out[: n - half]
+    for part, scale, draw in ((top[:, :half], alpha, rng.standard_normal),
+                              (top[:, half:], 1e-8, rng.random)):
+        for rows in row_blocks(n - half):
+            np.multiply(scale, draw(part[rows].shape), out=part[rows])
+    out[n - half:, :half] = 0.0
+    out[n - half:, half:] = np.eye(half)
 
 
 def generate_response(A, x_true, noise_scale: float, seed: int) -> np.ndarray:
@@ -260,11 +276,16 @@ def build_experiment_instance(
 
 
 def _build_ng_instance(n, d, ng_alpha, noise_scale, master_seed):
-    A = generate_ng_matrix(n, d, ng_alpha, mix_seed(master_seed, _TAG_DATA))
+    """The NG instance, its design and response written straight into its [A  b]."""
+    _check_ng_settings(n, d, ng_alpha)
+    aprime = np.empty((n, d + 1))
+    _fill_ng_matrix(aprime[:, :-1], ng_alpha, mix_seed(master_seed, _TAG_DATA))
     x_true = np.random.default_rng(mix_seed(master_seed, _TAG_XTRUE)).standard_normal(d)
     x_true.flags.writeable = False
-    b = generate_response(A, x_true, noise_scale, mix_seed(master_seed, _TAG_NOISE))
-    return RegressionInstance(A, b), x_true
+    aprime[:, -1] = generate_response(
+        aprime[:, :-1], x_true, noise_scale, mix_seed(master_seed, _TAG_NOISE)
+    )
+    return RegressionInstance._owning(aprime), x_true
 
 
 def _solve(family: str, instance: RegressionInstance, lam: float):

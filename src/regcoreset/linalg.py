@@ -1,4 +1,4 @@
-"""Dense matrix primitives: norms, statistical dimension, augmentation."""
+"""Dense matrix primitives: norms, statistical dimension, augmentation, tall QR."""
 
 from __future__ import annotations
 
@@ -12,7 +12,10 @@ import numpy as np
 from .errors import RankDeficiencyError, ShapeError
 
 _RANK_TOL = 1e-12
-_SLICE_BYTES = 3 << 15  # about 96 KiB of floats decoded at a time
+_SLICE_BYTES = 3 << 15  # about 96 KiB of floats encoded or decoded at a time
+# Rows per block of a pass over the n rows: a block of [A b] and the (d+1)-row
+# factor it is stacked on stay in cache, and no pass copies all n rows.
+_BLOCK_ROWS = 1024
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -22,7 +25,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
         raise ShapeError(f"{name} must be 2-D, got ndim={M.ndim}")
     if M.size == 0:
         raise ShapeError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(M)):
+    if not _all_finite(M):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return M
 
@@ -34,15 +37,47 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
         raise ShapeError(f"{name} must be 1-D, got ndim={v.ndim}")
     if v.size == 0:
         raise ShapeError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(v)):
+    if not _all_finite(v):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return v
 
 
-def encode_array(values) -> dict:
-    """The JSON form of a float64 array: its base64 little-endian bytes and shape."""
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether no entry is NaN or Inf; min and max pass NaN on, and allocate nothing."""
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
+def row_blocks(n: int):
+    """Slices of at most _BLOCK_ROWS consecutive rows that cover range(n) in order."""
+    return (slice(k, k + _BLOCK_ROWS) for k in range(0, n, _BLOCK_ROWS))
+
+
+def _slice_rows(width: int) -> int:
+    """Rows of `width` floats per base64 slice: about _SLICE_BYTES, and 3 | rows.
+
+    A slice of 3k bytes encodes apart from its neighbours, so the slices'
+    texts join to the text of the whole array.
+    """
+    return 3 * max(1, _SLICE_BYTES // (24 * max(width, 1)))
+
+
+def base64_slices(a: np.ndarray):
+    """The base64 text of a C-contiguous float64 array, a few rows at a time."""
+    grid = a if a.ndim == 2 else a.reshape(-1, 1)
+    rows = _slice_rows(grid.shape[1])
+    for k in range(0, grid.shape[0], rows):
+        yield binascii.b2a_base64(grid[k:k + rows], newline=False).decode("ascii")
+
+
+def encode_array(values, text: str | None = None) -> dict:
+    """The JSON form of a float64 array: its base64 little-endian bytes and shape.
+
+    A caller that writes the text itself, from `base64_slices`, passes what
+    stands in for it as `text`.
+    """
     a = np.asarray(values, dtype="<f8", order="C")
-    text = binascii.b2a_base64(a, newline=False).decode("ascii")
+    if text is None:
+        text = "".join(base64_slices(a))
     return {"dtype": "<f8", "shape": list(a.shape), "base64": text}
 
 
@@ -72,12 +107,12 @@ def _decode_into(out: np.ndarray, text: str, name: str) -> None:
     Decodes a few rows at a time, so `out` may be a view with strided rows
     and no copy of the whole array is made.  The text's length is already
     checked.  a2b_base64 skips stray characters, so each slice must re-encode
-    to itself; a slice of 3k bytes encodes apart from its neighbours, so this
-    is as strict as re-encoding the whole text.
+    to itself; the slices are those of `base64_slices`, which encode apart
+    from each other, so this is as strict as re-encoding the whole text.
     """
     grid = out if out.ndim == 2 else out[:, None]
     width = grid.shape[1]
-    rows = 3 * max(1, _SLICE_BYTES // (24 * max(width, 1)))  # 3 | rows, so 3 | bytes
+    rows = _slice_rows(width)
     for k in range(0, grid.shape[0], rows):
         block = grid[k:k + rows]
         start = 8 * k * width // 3 * 4
@@ -141,6 +176,24 @@ class RegressionInstance:
                 f"{response.shape[0]} entries"
             )
         aprime[:, -1] = response
+        self._hold(aprime)
+
+    @classmethod
+    def _owning(cls, aprime: np.ndarray) -> "RegressionInstance":
+        """The instance of a freshly built C-contiguous [A  b], kept without a copy.
+
+        The caller hands the array over: it is checked like any design and
+        response, then made read-only, and must not be written afterwards.
+        """
+        aprime = as_matrix(aprime, "aprime")
+        if aprime.shape[1] < 2 or not aprime.flags.c_contiguous:
+            raise ShapeError(f"[A  b] must be C-contiguous with >= 2 columns, "
+                             f"got shape {aprime.shape}")
+        instance = object.__new__(cls)
+        instance._hold(aprime)
+        return instance
+
+    def _hold(self, aprime: np.ndarray) -> None:
         aprime.flags.writeable = False
         object.__setattr__(self, "_aprime", aprime)
         object.__setattr__(self, "design", aprime[:, :-1])
@@ -153,7 +206,7 @@ class RegressionInstance:
         They are the columns of T in the QR decomposition [A b] = QT, so also
         R^T R = A^T A and R^T c = A^T b.  Computed on first use, read-only.
         """
-        T = np.linalg.qr(augment(self), mode="r")
+        T = tall_qr_r(augment(self))
         T.flags.writeable = False
         return T[:, :-1], T[:, -1]
 
@@ -169,6 +222,24 @@ class RegressionInstance:
 def augment(instance: RegressionInstance) -> np.ndarray:
     """Return [A  b], the response as a trailing column: the instance's own array."""
     return instance._aprime
+
+
+def tall_qr_r(M: np.ndarray) -> np.ndarray:
+    """R of a QR of M, factored _BLOCK_ROWS rows at a time (flat TSQR).
+
+    The first block is factored alone, then each later one stacked under the
+    R so far: [R; block] = Q'R' keeps R^T R = M^T M, so the result is the R
+    of M up to the signs of its rows, and no call copies more than
+    _BLOCK_ROWS + M.shape[1] rows.  At most _BLOCK_ROWS rows take one QR
+    call, the one-shot R bit for bit (Demmel, Grigori, Hoemmen & Langou,
+    Communication-optimal parallel and sequential QR and LU factorizations,
+    arXiv:0808.2664).
+    """
+    blocks = row_blocks(M.shape[0])
+    R = np.linalg.qr(M[next(blocks)], mode="r")
+    for rows in blocks:
+        R = np.linalg.qr(np.vstack([R, M[rows]]), mode="r")
+    return R
 
 
 def entrywise_p_norm(M, p: float) -> float:
@@ -207,9 +278,14 @@ def statistical_dimension(singular_values, lam: float) -> float:
     sigma = as_vector(singular_values, "singular_values")
     if np.any(sigma <= 0):
         raise RankDeficiencyError("all singular values must be positive")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    check_lambda(lam)
     return float(np.sum(1.0 / (1.0 + lam / sigma**2)))
+
+
+def check_lambda(lam: float) -> None:
+    """Raise ValueError unless lam is a finite real >= 0."""
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
 
 
 def check_full_column_rank(sigma: np.ndarray, what: str = "matrix") -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coreset import Coreset
 from .errors import ShapeError, TheoremInapplicableError
-from .linalg import as_matrix, augment
+from .linalg import as_matrix, augment, check_lambda
 from .objective import ObjectiveSpec
 from .solvers import _objective
 
@@ -136,8 +136,7 @@ def counterexample_alpha(
         raise TheoremInapplicableError(
             "matching loss and penalty exponents admit no scaling counterexample"
         )
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    check_lambda(lam)
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if epsilon_prime <= epsilon:

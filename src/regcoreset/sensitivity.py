@@ -31,7 +31,9 @@ from .linalg import (
     as_matrix,
     augment,
     check_full_column_rank,
+    check_lambda,
     induced_norm_upper,
+    row_blocks,
 )
 from .objective import ObjectiveSpec
 
@@ -116,8 +118,7 @@ def lp_lp_sensitivity_bounds(
     is exactly beta^p * ||u_i||_p^p + 1/n.  The total is certified against
     (alpha*beta)^p / (1 + lam/||A'||_p^p) + 1.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    check_lambda(lam)
     U = basis.basis
     p = basis.p
     denom = 1.0 + lam / basis.induced_norm**p
@@ -185,21 +186,25 @@ def ridge_leverage_scores(
 
     A' = [A  b] is the instance's augmented matrix.  With A' = QT, T its
     cached squared_loss_factor, and the m x m SVD T = W diag(sigma) V^T, row i
-    gets sum_j (a'_i v_j)^2 / (sigma_j^2 + lam): one small SVD and one n x m
-    product, no n-row SVD.  The total equals the statistical dimension of A'
-    at lam.  lam = 0 needs full column rank and returns ordinary leverage
-    scores, each accurate to about cond(A') * eps relative.
+    gets sum_j (a'_i v_j)^2 / (sigma_j^2 + lam): one small SVD and a product
+    with A' formed one block of rows at a time, no n-row SVD and no n x m
+    temporary.  The total equals the statistical dimension of A' at lam.
+    lam = 0 needs full column rank and returns ordinary leverage scores, each
+    accurate to about cond(A') * eps relative.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    check_lambda(lam)
     if instance.n < instance.d + 1:
         raise ShapeError("leverage scores need a tall matrix")
     _, sigma, vt = np.linalg.svd(np.column_stack(instance.squared_loss_factor))
     if lam == 0:
         check_full_column_rank(sigma, "aprime")
-    values = augment(instance) @ (vt.T / np.sqrt(sigma**2 + lam))
-    values **= 2
-    return SensitivityScores(values=values.sum(axis=1), scheme=SCHEME_RIDGE_LEVERAGE)
+    scaled = vt.T / np.sqrt(sigma**2 + lam)
+    aprime, values = augment(instance), np.empty(instance.n)
+    for rows in row_blocks(instance.n):
+        block = aprime[rows] @ scaled
+        block **= 2
+        values[rows] = block.sum(axis=1)
+    return SensitivityScores(values=values, scheme=SCHEME_RIDGE_LEVERAGE)
 
 
 def _sphere_grid(dim: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import string
 import numpy as np
 import pytest
 
-from regcoreset import experiments
+from regcoreset import conditioning, experiments, linalg
 from regcoreset.linalg import encode_array
 
 
@@ -19,6 +19,25 @@ def _empty_instance_slot(monkeypatch):
     which test built the same instance before.
     """
     monkeypatch.setattr(experiments, "_INSTANCE_SLOT", {})
+
+
+@pytest.fixture
+def factored_shapes(monkeypatch):
+    """The shape of every matrix handed to the QR kernel linalg.tall_qr_r.
+
+    The kernel factors n rows in blocks, so a count of n-row factorizations
+    is taken here, not at np.linalg.qr, which never sees all n rows.
+    """
+    shapes = []
+    kernel = linalg.tall_qr_r
+
+    def counting_kernel(M):
+        shapes.append(np.shape(M))
+        return kernel(M)
+
+    for module in (linalg, conditioning):
+        monkeypatch.setattr(module, "tall_qr_r", counting_kernel)
+    return shapes
 
 
 def _l1_vertex_minimum(instance, lam: float) -> float:

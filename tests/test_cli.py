@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import binascii
 import dataclasses
 import json
 import os
@@ -16,9 +17,12 @@ from regcoreset.cli import _EXPERIMENT_FLAGS, _load_coreset, _load_instance, dis
 from regcoreset.conditioning import p_conditioned_basis
 from regcoreset.coreset import build_coreset, identity_coreset, verify_coreset
 from regcoreset.experiments import (
+    _TAG_DATA,
     _TAG_QUERIES,
     ExperimentConfig,
     build_experiment_instance,
+    canonical_json,
+    generate_ng_matrix,
 )
 from regcoreset.linalg import RegressionInstance, augment, decode_array, encode_array
 from regcoreset.objective import ObjectiveSpec
@@ -67,6 +71,22 @@ def test_gen_ng_deterministic(tmp_path):
     assert np.array_equal(A[-2:, 2:], np.eye(2))
     assert len(decode_array(doc["response"])) == 50
     assert doc["config"]["seed"] == 11
+
+
+def test_gen_ng_writes_the_whole_document(tmp_path, capsys):
+    # The design's text is written a slice at a time, yet the file is the
+    # one canonical document, with the design encoded whole; so is stdout.
+    path = tmp_path / "inst.json"
+    args = ["gen-ng", "--n", "5000", "--d", "30", "--seed", "2"]
+    assert dispatch(args + ["--out", str(path)]) == 0
+    text = path.read_text()
+    A = generate_ng_matrix(5000, 30, 0.00065, mix_seed(2, _TAG_DATA))
+    doc = json.loads(text)
+    doc["design"]["base64"] = binascii.b2a_base64(A, newline=False).decode("ascii")
+    assert text == canonical_json(doc) + "\n"
+    capsys.readouterr()
+    assert dispatch(args) == 0
+    assert capsys.readouterr().out == text.replace(str(path), "None")
 
 
 def test_gen_ng_matches_experiment_instance(tmp_path):

@@ -22,7 +22,8 @@ from regcoreset.experiments import (
     run_relative_error_experiment,
     run_sparsity_experiment,
 )
-from regcoreset.linalg import RegressionInstance
+from regcoreset.linalg import RegressionInstance, augment
+from regcoreset.seeding import mix_seed
 from regcoreset.sensitivity import ridge_leverage_scores
 
 
@@ -97,6 +98,29 @@ def test_ng_matrix_validation():
         generate_ng_matrix(2, 6, 0.1, 0)
     with pytest.raises(ValueError):
         generate_ng_matrix(100, 6, 0.0, 0)
+
+
+def _one_shot_ng_matrix(n, d, alpha, seed):
+    """The NG design drawn whole, the reference for generate_ng_matrix's bits."""
+    half = d // 2
+    rng = np.random.default_rng(seed)
+    top = np.hstack([alpha * rng.standard_normal((n - half, half)),
+                     1e-8 * rng.random((n - half, half))])
+    return np.vstack([top, np.hstack([np.zeros((half, half)), np.eye(half)])])
+
+
+@pytest.mark.parametrize("n", [60, 2_500, 20_000])
+def test_harness_instance_is_the_library_instance(n):
+    # The harness writes the NG design and response straight into [A b], a
+    # block of rows at a time; the bits are those of the library's functions
+    # and of one whole draw.
+    config = _small_config(n=n, d=30, master_seed=2)
+    instance, x_true = build_experiment_instance(config)
+    data_seed = mix_seed(2, experiments._TAG_DATA)
+    A = generate_ng_matrix(n, 30, config.ng_alpha, data_seed)
+    assert A.tobytes() == _one_shot_ng_matrix(n, 30, config.ng_alpha, data_seed).tobytes()
+    b = generate_response(A, x_true, config.noise_scale, mix_seed(2, experiments._TAG_NOISE))
+    assert augment(instance).tobytes() == augment(RegressionInstance(A, b)).tobytes()
 
 
 def test_response_noise_level_is_exact():
@@ -217,43 +241,30 @@ def test_relative_error_trials_share_no_state():
     assert [[cell[:3] for cell in row] for row in five.trials] == three.trials
 
 
-def test_identity_trials_share_one_factored_instance(monkeypatch):
+def test_identity_trials_share_one_factored_instance(factored_shapes):
     # One n-row QR for the full data and one for the identity coreset, which
     # every identity trial reuses; a fresh instance per trial made 1 + 6.
-    n_row_qrs = []
-    qr = np.linalg.qr
-
-    def counting_qr(M, *args, **kwargs):
-        n_row_qrs.append(np.shape(M)[0] == 2000)
-        return qr(M, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     config = _small_config(
         n=2000, d=30, sample_sizes=(50, 100), objective_family="modified_lasso",
         master_seed=2,
     )
     table = run_relative_error_experiment(config)
-    assert sum(n_row_qrs) == 2
+    assert sum(shape[0] == config.n for shape in factored_shapes) == 2
     assert all(row[1] < 1e-10 for row in table.cells)
 
 
-def test_l2_table_takes_no_n_row_svd(monkeypatch):
+def test_l2_table_takes_no_n_row_svd(monkeypatch, factored_shapes):
     # Ridge leverage scores come from the instance's cached factor, the one
     # n-row QR its solves share; the thin SVD of A' took one per lambda.
     n = 2000
-    n_row_svds, n_row_qrs = [], []
-    svd, qr = np.linalg.svd, np.linalg.qr
+    n_row_svds = []
+    svd = np.linalg.svd
 
     def counting_svd(M, *args, **kwargs):
         n_row_svds.append(np.shape(M)[0] == n)
         return svd(M, *args, **kwargs)
 
-    def counting_qr(M, *args, **kwargs):
-        n_row_qrs.append(np.shape(M)[0] == n)
-        return qr(M, *args, **kwargs)
-
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     config = _small_config(
         n=n, d=30, lambda_grid=(0.1, 0.5, 5.0), sample_sizes=(100,),
         schemes=("ridge_leverage", "uniform"), objective_family="modified_lasso",
@@ -261,27 +272,22 @@ def test_l2_table_takes_no_n_row_svd(monkeypatch):
     )
     run_relative_error_experiment(config)
     assert sum(n_row_svds) == 0
-    assert sum(n_row_qrs) == 1
+    assert sum(shape[0] == n for shape in factored_shapes) == 1
 
 
-def test_l2_tables_of_one_seed_share_one_build_and_one_qr(monkeypatch):
+def test_l2_tables_of_one_seed_share_one_build_and_one_qr(monkeypatch, factored_shapes):
     # The size table, the lambda sweep and the sparsity profile differ only
     # in fields that do not generate the instance, so the memo serves all
     # three: one NG build and one n-row QR in total, not three of each.
     n = 2000
-    builds, n_row_qrs = [], []
-    generate, qr = experiments.generate_ng_matrix, np.linalg.qr
+    builds = []
+    generate = experiments._fill_ng_matrix
 
     def counting_generate(*args, **kwargs):
         builds.append(args)
         return generate(*args, **kwargs)
 
-    def counting_qr(M, *args, **kwargs):
-        n_row_qrs.append(np.shape(M)[0] == n)
-        return qr(M, *args, **kwargs)
-
-    monkeypatch.setattr(experiments, "generate_ng_matrix", counting_generate)
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(experiments, "_fill_ng_matrix", counting_generate)
     same = dict(n=n, d=30, objective_family="modified_lasso", master_seed=2)
     l2 = ("ridge_leverage", "uniform")
     run_relative_error_experiment(
@@ -295,7 +301,7 @@ def test_l2_tables_of_one_seed_share_one_build_and_one_qr(monkeypatch):
                       **same)
     )
     assert len(builds) == 1
-    assert sum(n_row_qrs) == 1
+    assert sum(shape[0] == n for shape in factored_shapes) == 1
 
 
 def test_another_instance_evicts_the_memoized_one(monkeypatch):
@@ -306,13 +312,13 @@ def test_another_instance_evicts_the_memoized_one(monkeypatch):
     old = weakref.ref(first)
     del first
     alive_at_build = []
-    generate = experiments.generate_ng_matrix
+    generate = experiments._fill_ng_matrix
 
     def recording_generate(*args, **kwargs):
         alive_at_build.append(old() is not None)
         return generate(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "generate_ng_matrix", recording_generate)
+    monkeypatch.setattr(experiments, "_fill_ng_matrix", recording_generate)
     build_experiment_instance(_small_config(master_seed=2))
     assert alive_at_build == [False]
     assert old() is None

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regcoreset.conditioning import p_conditioned_basis
 from regcoreset.coreset import build_coreset
 from regcoreset.errors import RankDeficiencyError, ShapeError
+from regcoreset.experiments import ExperimentConfig, build_experiment_instance
 from regcoreset.linalg import (
+    _BLOCK_ROWS,
     RegressionInstance,
     augment,
     as_matrix,
@@ -20,6 +23,7 @@ from regcoreset.linalg import (
     entrywise_p_norm,
     induced_norm_upper,
     statistical_dimension,
+    tall_qr_r,
 )
 from regcoreset.sensitivity import ridge_leverage_scores, uniform_scores
 
@@ -143,6 +147,66 @@ def test_instance_holds_one_array():
         assert peak < 1.25 * aprime.nbytes
 
 
+def test_owning_constructor_keeps_the_array():
+    aprime = np.random.default_rng(4).standard_normal((30, 5))
+    inst = RegressionInstance._owning(aprime)
+    assert augment(inst) is aprime and not aprime.flags.writeable
+    assert np.shares_memory(inst.design, aprime) and np.shares_memory(inst.response, aprime)
+    assert aprime.tobytes() == augment(RegressionInstance(inst.design, inst.response)).tobytes()
+    spoiled = aprime.copy()
+    spoiled[3, 2] = np.nan
+    with pytest.raises(ValueError):
+        RegressionInstance._owning(spoiled)
+    for bad in (np.ones((4, 1)), np.ones((4, 6))[:, ::2]):
+        with pytest.raises(ShapeError):
+            RegressionInstance._owning(bad)
+
+
+def _ng_aprime(n: int) -> np.ndarray:
+    config = ExperimentConfig(n=n, d=10, lambda_grid=(0.5,), sample_sizes=(5,), master_seed=2)
+    return augment(build_experiment_instance(config)[0])
+
+
+def _with_nonnegative_diagonal(R: np.ndarray) -> np.ndarray:
+    return np.where(np.diag(R) < 0, -1.0, 1.0)[:, None] * R
+
+
+@pytest.mark.parametrize(
+    "n", [7, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS - 500, 20_000]
+)
+def test_tall_qr_matches_one_shot_qr_up_to_row_signs(n):
+    # n = 7 is shorter than the 11 or 12 columns; 3 blocks - 500 rows end in
+    # a short block.  Up to one block, one QR call gives the one-shot bits.
+    rng = np.random.default_rng(n)
+    scaled = rng.standard_normal((n, 12)) * 10.0 ** rng.uniform(-3, 3, 12)
+    for M in (scaled, _ng_aprime(n)):
+        R, want = tall_qr_r(M), np.linalg.qr(M, mode="r")
+        assert R.shape == want.shape == (min(n, M.shape[1]), M.shape[1])
+        assert np.array_equal(np.triu(R), R)
+        if n <= _BLOCK_ROWS:
+            assert np.array_equal(R, want)
+        error = _with_nonnegative_diagonal(R) - _with_nonnegative_diagonal(want)
+        assert np.linalg.norm(error) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_no_qr_call_sees_more_than_a_block_and_the_factor(monkeypatch):
+    # np.linalg.qr copies its input twice, once where tracemalloc does not
+    # look; the factor and each Lewis step hand it [R; one block of rows].
+    instance, _ = build_experiment_instance(ExperimentConfig(
+        n=20_000, d=30, lambda_grid=(0.5,), sample_sizes=(5,), master_seed=2))
+    rows, qr = [], np.linalg.qr
+
+    def counting_qr(M, *args, **kwargs):
+        rows.append(np.shape(M)[0])
+        return qr(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    instance.squared_loss_factor
+    p_conditioned_basis(augment(instance), 1.0)
+    assert len(rows) == 13 * math.ceil(instance.n / _BLOCK_ROWS)  # factor + 12 steps
+    assert max(rows) <= _BLOCK_ROWS + instance.d + 1
+
+
 def test_squared_loss_factor_is_computed_once():
     inst = RegressionInstance([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]], [0.0, 1.0, 3.0])
     assert inst.squared_loss_factor is inst.squared_loss_factor
@@ -224,6 +288,12 @@ def test_statistical_dimension_rejects_bad_input():
         statistical_dimension([1.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         statistical_dimension([1.0], -1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_statistical_dimension_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        statistical_dimension([2.0, 1.0], lam)
 
 
 def test_rank_check():

@@ -124,6 +124,12 @@ def test_alpha_validation():
         counterexample_alpha(0.1, 0.3, 1.0, 0.0, 1.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_alpha_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        counterexample_alpha(0.1, 0.3, lam, 1.0, 1.0, 2.0, 1.0)
+
+
 def test_undershoot_witness_end_to_end():
     witness = demonstrate_violation(np.eye(2), _single_row_coreset(), MISMATCHED, 0.1)
     assert witness.direction == UNDERSHOOT

@@ -119,6 +119,25 @@ def test_lp_lp_broken_alpha_certificate_is_caught():
         lp_lp_sensitivity_bounds(forged, 0.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_lp_lp_bounds_reject_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        lp_lp_sensitivity_bounds(p_conditioned_basis(np.eye(3), 2.0), lam)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_rlad_bounds_reject_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        rlad_sensitivity_bounds(p_conditioned_basis(np.eye(3), 1.0), lam)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_multiresponse_bounds_reject_non_finite_lambda(lam):
+    ahat = np.random.default_rng(5).standard_normal((30, 4))
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        multiresponse_rlad_sensitivity_bounds(p_conditioned_basis(ahat, 1.0), lam, ahat, 2)
+
+
 def test_rlad_specializes_lp_lp():
     M = np.random.default_rng(10).standard_normal((100, 3))
     basis = p_conditioned_basis(M, 1.0)
@@ -232,6 +251,12 @@ def test_ridge_leverage_errors():
         ridge_leverage_scores(_instance_of(np.ones((2, 5))), 1.0)
     with pytest.raises(ValueError):
         ridge_leverage_scores(_instance_of(np.eye(2)), -0.5)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_ridge_leverage_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        ridge_leverage_scores(_instance_of(np.eye(3)), lam)
 
 
 def _thin_svd_ridge_leverage(aprime, lam):

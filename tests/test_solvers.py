@@ -510,24 +510,15 @@ def test_squared_loss_on_the_factor_matches_the_rows(
     assert qr.call_count == 1  # later calls reuse the cached factor
 
 
-def test_sparsity_table_factors_the_instance_once(monkeypatch):
+def test_sparsity_table_factors_the_instance_once(factored_shapes):
     # Lasso, modified lasso and ridge at six lambdas are 18 full-data solves
     # on one instance; they share its cached factor, so one QR of the n rows.
     config = ExperimentConfig(
         n=2000, d=30, lambda_grid=(0.0, 0.05, 0.2, 1.0, 5.0, 20.0),
         sample_sizes=(30,), master_seed=2,
     )
-    qr = np.linalg.qr
-    n_row_qrs = []
-
-    def counting_qr(M, *args, **kwargs):
-        if np.shape(M)[0] == config.n:
-            n_row_qrs.append(np.shape(M))
-        return qr(M, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     run_sparsity_experiment(config)
-    assert n_row_qrs == [(config.n, config.d + 1)]
+    assert [s for s in factored_shapes if s[0] == config.n] == [(config.n, config.d + 1)]
 
 
 def test_active_set_reaches_least_squares_at_tiny_residual():

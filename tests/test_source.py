@@ -222,3 +222,18 @@ def test_ng_instances_are_built_only_through_the_hooked_name():
     assert {name: found for name, found in readers.items() if found} == {
         "experiments.py": ["build_experiment_instance"]
     }
+
+
+def test_qr_runs_only_in_the_kernel_and_the_vertex_basis():
+    # np.linalg.qr copies its whole input twice, once where tracemalloc does
+    # not look.  A factorization of the n rows goes through linalg.tall_qr_r,
+    # which hands it one block of rows at a time; solvers._vertex_basis
+    # factors at most 2d rows.
+    readers = {
+        path.name: _readers(ast.parse(path.read_text(encoding="utf-8")), "qr")
+        for path in sorted(_PACKAGE.glob("*.py"))
+    }
+    assert {name: set(found) for name, found in readers.items() if found} == {
+        "linalg.py": {"tall_qr_r"},
+        "solvers.py": {"_vertex_basis"},
+    }
