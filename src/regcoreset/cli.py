@@ -34,7 +34,16 @@ from .experiments import (
     run_relative_error_experiment,
     run_sparsity_experiment,
 )
-from .linalg import RegressionInstance, augment, base64_slices, check_lambda, encode_array
+from .linalg import (
+    RegressionInstance,
+    augment,
+    base64_slices,
+    check_count,
+    check_fraction,
+    check_keys,
+    check_lambda,
+    encode_array,
+)
 from .lowerbound import demonstrate_violation
 from .objective import FAMILIES, ObjectiveSpec
 from .seeding import mix_seed
@@ -61,12 +70,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _check_epsilon(value: float) -> float:
-    if not 0 < value < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {value}")
-    return value
-
-
 def _write(doc, out: str | None) -> None:
     """Write a document, given as its text or as its text's pieces in order."""
     pieces = [doc] if isinstance(doc, str) else doc
@@ -79,23 +82,19 @@ def _write(doc, out: str | None) -> None:
         sys.stdout.write("\n")
 
 
-def _load_instance(path: str) -> RegressionInstance:
+def _load_object(path: str, what: str, required=()) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"instance file {path} does not hold a JSON object")
-    for key in ("design", "response"):
-        if key not in doc:
-            raise ValueError(f"instance file {path} missing key {key!r}")
+        return check_keys(json.load(fh), required, f"{what} file {path}")
+
+
+def _load_instance(path: str) -> RegressionInstance:
+    doc = _load_object(path, "instance", ("design", "response"))
     return RegressionInstance(doc["design"], doc["response"])
 
 
 def _load_coreset(path: str) -> Coreset:
     """Read a bare or provenance-wrapped coreset document."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"coreset file {path} does not hold a JSON object")
+    doc = _load_object(path, "coreset")
     return Coreset.from_dict(doc.get("coreset", doc))
 
 
@@ -150,7 +149,7 @@ def _cmd_coreset(args) -> int:
     if args.size is None and args.epsilon is None:
         raise ValueError("give either --size or --epsilon")
     if args.epsilon is not None:
-        _check_epsilon(args.epsilon)
+        check_fraction(args.epsilon, "epsilon")
     instance = _load_instance(args.instance)
     scores = _scores_for_cli(args, instance)
     if args.size is not None:
@@ -171,7 +170,6 @@ def _cmd_coreset(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    check_lambda(args.lam)
     if (args.instance is None) == (args.coreset is None):
         raise ValueError("give exactly one of --instance or --coreset")
     spec = ObjectiveSpec.for_family(args.family, args.lam, p=args.p)
@@ -196,12 +194,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    check_lambda(args.lam)
-    _check_epsilon(args.epsilon)
-    if args.queries < 1:
-        raise ValueError(f"--queries must be >= 1, got {args.queries}")
-    instance = _load_instance(args.instance)
+    check_fraction(args.epsilon, "epsilon")
+    check_count(args.queries, "--queries")
     spec = ObjectiveSpec.for_family(args.family, args.lam, p=args.p)
+    instance = _load_instance(args.instance)
     core = _load_coreset(args.coreset)
     rng = np.random.default_rng(mix_seed(args.seed, _TAG_QUERIES))
     queries = list(rng.standard_normal((args.queries, instance.d)))
@@ -211,18 +207,14 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _comma_list(text: str) -> list:
-    return text.split(",")
-
-
 # The ExperimentConfig fields an experiment or sparsity flag sets, each with
-# the argparse type of its value: --master-seed sets master_seed.  A list
-# field takes comma-separated values, which ExperimentConfig converts as it
-# does a --config file's lists.  normalize is set only through --config.
+# the type of its value: --master-seed sets master_seed.  A list field, [kind],
+# takes comma-separated values of that kind, converted after parsing so that
+# an error names the field.  normalize is set only through --config.
 _EXPERIMENT_FLAGS = {
     "n": int, "d": int, "master_seed": int, "trials_per_cell": int,
     "objective_family": str, "ng_alpha": float, "noise_scale": float,
-    "lambda_grid": _comma_list, "sample_sizes": _comma_list, "schemes": _comma_list,
+    "lambda_grid": [float], "sample_sizes": [int], "schemes": [str],
     "csv_path": str, "target_column": str,
 }
 
@@ -232,10 +224,16 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
-    for field in _EXPERIMENT_FLAGS:
+    for field, kind in _EXPERIMENT_FLAGS.items():
         value = getattr(args, field)
-        if value is not None:
-            doc[field] = value
+        if value is None:
+            continue
+        if isinstance(kind, list):
+            try:
+                value = [kind[0](v) for v in value.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"{field}: {exc}") from None
+        doc[field] = value
     doc.setdefault("sample_sizes", [50])
     return ExperimentConfig.from_dict(doc)
 
@@ -252,8 +250,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
-    check_lambda(args.lam)
-    _check_epsilon(args.epsilon)
+    check_fraction(args.epsilon, "epsilon")
     spec = ObjectiveSpec(args.p, args.q, args.r, args.s, lam=args.lam)
     instance, aprime = None, np.eye(2)  # canonical demonstration matrix
     if args.instance is not None:
@@ -353,7 +350,8 @@ def build_parser() -> _Parser:
         e = sub.add_parser(name, help=f"run the {name} protocol")
         e.add_argument("--config", default=None)
         for field, kind in _EXPERIMENT_FLAGS.items():
-            e.add_argument("--" + field.replace("_", "-"), type=kind, default=None)
+            e.add_argument("--" + field.replace("_", "-"), default=None,
+                           type=str if isinstance(kind, list) else kind)
         e.add_argument("--format", choices=["json", "csv"], default="json")
         e.add_argument("--out", default=None)
         e.set_defaults(func=_cmd_table, runner=runner)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningFailureError, ShapeError
-from .linalg import as_matrix, entrywise_p_norm, induced_norm_upper, tall_qr_r
+from .linalg import as_matrix, check_count, entrywise_p_norm, induced_norm_upper, tall_qr_r
 
 _ALPHA_MARGIN = 1.01
 # Lewis fixed-point steps at every p but 2, which needs one.  Measured at
@@ -181,8 +181,7 @@ def verify_conditioning(
     p_conditioned_basis at any p, and a violation flag means the recorded
     pair is broken.  The same seed gives the same report.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_count(trials, "trials")
     U = basis.basis
     m = U.shape[1]
     rng = np.random.default_rng(seed)

@@ -18,7 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidScoresError, ShapeError, TransferCheckError
-from .linalg import RegressionInstance, as_matrix, as_vector, augment
+from .linalg import (
+    RegressionInstance,
+    as_matrix,
+    as_vector,
+    augment,
+    check_count,
+    check_exponent,
+    check_fraction,
+    check_keys,
+    check_positive,
+)
 from .objective import ObjectiveSpec
 from .sensitivity import SensitivityScores
 from .solvers import evaluate_objective
@@ -38,18 +48,11 @@ def sample_size(
     The count is the number of i.i.d. draws, so repeated rows are counted
     with multiplicity.
     """
-    if not 0 < total_sensitivity < math.inf:
-        raise ValueError(
-            f"total sensitivity must be positive and finite, got {total_sensitivity}"
-        )
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if not 0 < constant < math.inf:
-        raise ValueError(f"constant must be positive and finite, got {constant}")
+    check_positive(total_sensitivity, "total sensitivity")
+    check_fraction(epsilon, "epsilon")
+    check_fraction(delta, "delta")
+    check_count(d, "d")
+    check_positive(constant, "constant")
     raw = (
         constant
         * total_sensitivity
@@ -100,8 +103,7 @@ class Coreset:
 
         Its p-norm loss is the weighted loss sum_k w_k |a'_k x'|^p.
         """
-        if not p >= 1:
-            raise ValueError(f"p must be >= 1, got {p}")
+        check_exponent(p, "p")
         return RegressionInstance._owning(self.rows * self.weights[:, None] ** (1.0 / p))
 
     def to_dict(self) -> dict:
@@ -120,12 +122,8 @@ class Coreset:
     @classmethod
     def from_dict(cls, doc: dict) -> "Coreset":
         """Inverse of to_dict, also after a JSON round trip."""
-        if not isinstance(doc, dict):
-            raise ValueError("a coreset document must be a JSON object")
-        required = {"n", "d", "r", "seed", "scheme", "source_indices", "weights", "sampled_rows"}
-        missing = required - doc.keys()
-        if missing:
-            raise ValueError(f"coreset document missing keys: {sorted(missing)}")
+        required = ("n", "d", "r", "seed", "scheme", "source_indices", "weights", "sampled_rows")
+        check_keys(doc, required, "coreset document")
         r, d = int(doc["r"]), int(doc["d"])
         rows = np.asarray(doc["sampled_rows"], dtype=float)
         if rows.size != r * (d + 1):
@@ -149,8 +147,7 @@ def build_coreset(
     seed: int,
 ) -> Coreset:
     """Draw r rows with probability s_i / S, each with weight S / (r * s_i)."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    check_count(r, "r")
     if scores.n != instance.n:
         raise InvalidScoresError(
             f"scores cover {scores.n} rows but instance has {instance.n}"
@@ -193,8 +190,7 @@ class CoresetVerificationReport:
 def _checked_queries(
     instance: RegressionInstance, coreset: Coreset, queries, epsilon: float
 ) -> list:
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_fraction(epsilon, "epsilon")
     queries = list(queries)
     if not queries:
         raise ValueError("need at least one query")
@@ -280,10 +276,8 @@ def transfer_check(
     (p-loss, p-norm^p penalty) objective must imply the same under the
     (p-loss, q-norm^p penalty) objective; any exception raises.
     """
-    if q > p:
+    if check_exponent(q, "q") > p:
         raise ValueError(f"need q <= p, got q={q} > p={p}")
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
     spec_p = ObjectiveSpec(p=p, q=p, r=p, s=p, lam=lam)
     spec_q = ObjectiveSpec(p=p, q=q, r=p, s=p, lam=lam)
     queries = _checked_queries(instance, coreset, queries, epsilon)

@@ -22,8 +22,18 @@ import numpy as np
 from .conditioning import p_conditioned_basis
 from .coreset import build_coreset, identity_coreset
 from .errors import DegenerateSignalError, ParseError, SchemaError
-from .linalg import RegressionInstance, augment, row_blocks
-from .objective import ObjectiveSpec
+from .linalg import (
+    RegressionInstance,
+    augment,
+    check_count,
+    check_keys,
+    check_lambda,
+    check_list,
+    check_positive,
+    input_rule,
+    row_blocks,
+)
+from .objective import FAMILIES, ObjectiveSpec
 from .seeding import mix_seed
 from .sensitivity import (
     ridge_leverage_scores,
@@ -46,7 +56,10 @@ _TAG_CELL = 0x05
 _TAG_QUERIES = 0x06
 
 EXPERIMENT_SCHEMES = ("uniform", "ridge_leverage", "rlad_sensitivity", "identity")
-_FAMILIES = ("modified_lasso", "rlad", "ridge", "lasso")
+_check_scheme = input_rule(str, EXPERIMENT_SCHEMES.__contains__,
+                           f"be one of {', '.join(EXPERIMENT_SCHEMES)}")
+# Every family but lp_lp, whose p the config has no field for.
+_FAMILIES = tuple(family for family in FAMILIES if family != "lp_lp")
 
 
 def canonical_json(doc) -> str:
@@ -71,42 +84,31 @@ class ExperimentConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        for name, kind in (("lambda_grid", float), ("sample_sizes", int), ("schemes", str)):
-            try:
-                object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{name}: {exc}") from None
-        if not self.lambda_grid or not all(0 <= v < np.inf for v in self.lambda_grid):
-            raise ValueError("lambda_grid must be non-empty with finite entries >= 0")
-        if not self.sample_sizes or any(v < 1 for v in self.sample_sizes):
-            raise ValueError("sample_sizes must be non-empty with entries >= 1")
-        if self.trials_per_cell < 1 or self.trials_per_cell % 2 == 0:
-            raise ValueError(
-                f"trials_per_cell must be odd and >= 1, got {self.trials_per_cell}"
-            )
+        for name, check, kind in (("lambda_grid", check_lambda, float),
+                                  ("sample_sizes", check_count, int),
+                                  ("schemes", _check_scheme, str)):
+            values = tuple(kind(v) for v in check_list(getattr(self, name), name, check))
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            object.__setattr__(self, name, values)
+        if check_count(self.trials_per_cell, "trials_per_cell") % 2 == 0:
+            raise ValueError(f"trials_per_cell must be odd, got {self.trials_per_cell}")
         if self.objective_family not in _FAMILIES:
             raise ValueError(f"unknown objective family {self.objective_family!r}")
-        unknown = set(self.schemes) - set(EXPERIMENT_SCHEMES)
-        if not self.schemes or unknown:
-            raise ValueError(f"unsupported schemes: {sorted(unknown) or 'none given'}")
         if self.csv_path is None:
-            if self.d < 2 or self.d % 2 != 0:
-                raise ValueError("synthetic instances need an even d >= 2")
-            if self.n <= self.d // 2:
-                raise ValueError("synthetic instances need n > d/2")
+            _check_ng_settings(self.n, self.d, self.ng_alpha, self.noise_scale, "ng_alpha")
+        elif self.target_column is None:
+            raise ValueError("csv_path requires target_column")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = doc.keys() - known
+        check_keys(doc, ("n", "d", "lambda_grid", "sample_sizes"), "config")
+        unknown = doc.keys() - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"n", "d", "lambda_grid", "sample_sizes"} - doc.keys()
-        if missing:
-            raise ValueError(f"config missing required keys: {sorted(missing)}")
         return cls(**doc)
 
     def digest(self) -> str:
@@ -151,13 +153,13 @@ def generate_ng_matrix(n: int, d: int, alpha: float, seed: int) -> np.ndarray:
     return A
 
 
-def _check_ng_settings(n: int, d: int, alpha: float) -> None:
+def _check_ng_settings(n, d, alpha, noise_scale=0.0, alpha_name="alpha") -> None:
     if d < 2 or d % 2 != 0:
         raise ValueError(f"d must be even and >= 2, got {d}")
     if n <= d // 2:
         raise ValueError(f"need n > d/2, got n={n}, d={d}")
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    check_positive(alpha, alpha_name)
+    check_lambda(noise_scale, "noise_scale")
 
 
 def _fill_ng_matrix(out: np.ndarray, alpha: float, seed: int) -> None:
@@ -187,8 +189,7 @@ def generate_response(A, x_true, noise_scale: float, seed: int) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     x_true = np.asarray(x_true, dtype=float)
-    if not 0 <= noise_scale < np.inf:
-        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+    check_lambda(noise_scale, "noise_scale")
     signal = A @ x_true
     if noise_scale == 0:
         return signal
@@ -265,8 +266,6 @@ def build_experiment_instance(
     are read-only.  A CSV file is read again on every call.
     """
     if config.csv_path is not None:
-        if config.target_column is None:
-            raise ValueError("csv_path requires target_column")
         return load_csv(config.csv_path, config.target_column, config.normalize), None
     key = (config.n, config.d, config.ng_alpha, config.noise_scale, config.master_seed)
     if key not in _INSTANCE_SLOT:
@@ -277,7 +276,6 @@ def build_experiment_instance(
 
 def _build_ng_instance(n, d, ng_alpha, noise_scale, master_seed):
     """The NG instance, its design and response written straight into its [A  b]."""
-    _check_ng_settings(n, d, ng_alpha)
     aprime = np.empty((n, d + 1))
     _fill_ng_matrix(aprime[:, :-1], ng_alpha, mix_seed(master_seed, _TAG_DATA))
     x_true = np.random.default_rng(mix_seed(master_seed, _TAG_XTRUE)).standard_normal(d)
@@ -451,10 +449,8 @@ def _six_significant(value: float) -> str:
 
 def parse_report(text: str) -> DataTable:
     """Inverse of emit_report(..., 'json')."""
-    doc = json.loads(text)
-    missing = {"rows", "cols", "cells", "trials", "config_digest"} - doc.keys()
-    if missing:
-        raise ValueError(f"report missing keys: {sorted(missing)}")
+    doc = check_keys(json.loads(text), ("rows", "cols", "cells", "trials", "config_digest"),
+                     "report")
     return DataTable(
         row_labels=list(doc["rows"]),
         col_labels=list(doc["cols"]),

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: norms, statistical dimension, augmentation, tall QR."""
+"""Dense matrix primitives (norms, statistical dimension, augmentation, tall QR), input rules."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import binascii
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -20,31 +21,24 @@ _BLOCK_ROWS = 1024
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float array, rejecting empty or non-finite input."""
-    M = np.asarray(values, dtype=float)
-    if M.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={M.ndim}")
-    if M.size == 0:
-        raise ShapeError(f"{name} must be non-empty")
-    if not _all_finite(M):
-        raise ValueError(f"{name} contains NaN or Inf entries")
-    return M
+    return _as_array(values, name, 2)
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
     """Coerce to a 1-D float array, rejecting empty or non-finite input."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got ndim={v.ndim}")
-    if v.size == 0:
+    return _as_array(values, name, 1)
+
+
+def _as_array(values, name: str, ndim: int) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if a.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-D, got ndim={a.ndim}")
+    if a.size == 0:
         raise ShapeError(f"{name} must be non-empty")
-    if not _all_finite(v):
+    # min and max pass a NaN on, and allocate nothing
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError(f"{name} contains NaN or Inf entries")
-    return v
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether no entry is NaN or Inf; min and max pass NaN on, and allocate nothing."""
-    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+    return a
 
 
 def row_blocks(n: int):
@@ -245,8 +239,7 @@ def tall_qr_r(M: np.ndarray) -> np.ndarray:
 def entrywise_p_norm(M, p: float) -> float:
     """(sum_ij |M_ij|^p)^(1/p) for p >= 1."""
     M = as_matrix(M)
-    if not np.isfinite(p) or p < 1:
-        raise ValueError(f"p must be a finite real >= 1, got {p}")
+    check_exponent(p, "p")
     return float(np.sum(np.abs(M) ** p) ** (1.0 / p))
 
 
@@ -258,8 +251,8 @@ def induced_norm_upper(M, p: float) -> float:
     ||M||_1^(1/p) * ||M||_inf^(1-1/p), which always dominates the true norm.
     """
     M = as_matrix(M)
-    if p != np.inf and (not np.isfinite(p) or p < 1):
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    if p != np.inf:
+        check_exponent(p, "p")
 
     def max_abs_sum(axis: int) -> float:  # axis 0: column sums, 1: row sums
         return float(np.max(np.sum(np.abs(M), axis=axis)))
@@ -282,10 +275,38 @@ def statistical_dimension(singular_values, lam: float) -> float:
     return float(np.sum(1.0 / (1.0 + lam / sigma**2)))
 
 
-def check_lambda(lam: float) -> None:
-    """Raise ValueError unless lam is a finite real >= 0."""
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+def input_rule(kind, holds, must: str, default: str | None = None):
+    """A check(value, name=default) that returns a kind (no bool) with holds(value), or raises."""
+    def check(value, name: str = default):
+        if isinstance(value, bool) or not (isinstance(value, kind) and holds(value)):
+            raise ValueError(f"{name} must {must}, got {value!r}")
+        return value
+    return check
+
+
+# The package's input rules, each written once; Real takes ints and floats, numpy's too.
+check_lambda = input_rule(Real, lambda v: 0 <= v < math.inf, "be finite and >= 0", "lambda")
+check_positive = input_rule(Real, lambda v: 0 < v < math.inf, "be positive and finite")
+check_fraction = input_rule(Real, lambda v: 0 < v < 1, "lie in (0, 1)")
+check_exponent = input_rule(Real, lambda v: 1 <= v < math.inf, "be a finite real >= 1")
+check_count = input_rule(Integral, lambda v: v >= 1, "be an integer >= 1")
+
+
+def check_list(values, name: str, check) -> list:
+    """The entries of a list or tuple, each passed through check(entry, name + ' entry')."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    return [check(v, f"{name} entry") for v in values]
+
+
+def check_keys(doc, required, what: str) -> dict:
+    """doc, if it is a dict that holds every required key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} does not hold a JSON object")
+    missing = set(required) - doc.keys()
+    if missing:
+        raise ValueError(f"{what} missing keys: {sorted(missing)}")
+    return doc
 
 
 def check_full_column_rank(sigma: np.ndarray, what: str = "matrix") -> None:

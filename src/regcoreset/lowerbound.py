@@ -16,7 +16,7 @@ import numpy as np
 
 from .coreset import Coreset
 from .errors import ShapeError, TheoremInapplicableError
-from .linalg import as_matrix, augment, check_lambda
+from .linalg import as_matrix, augment, check_count, check_fraction, check_lambda
 from .objective import ObjectiveSpec
 from .solvers import _objective
 
@@ -88,10 +88,8 @@ def find_unregularized_violation(
             f"coreset rows have {coreset.rows.shape[1]} columns but aprime has "
             f"{aprime.shape[1]}"
         )
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if probes < 1:
-        raise ValueError(f"probes must be >= 1, got {probes}")
+    check_fraction(epsilon, "epsilon")
+    check_count(probes, "probes")
     m = aprime.shape[1]
     rng = np.random.default_rng(seed)
     candidates = rng.standard_normal((probes, m))
@@ -137,8 +135,7 @@ def counterexample_alpha(
             "matching loss and penalty exponents admit no scaling counterexample"
         )
     check_lambda(lam)
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_fraction(epsilon, "epsilon")
     if epsilon_prime <= epsilon:
         raise ValueError(
             f"need epsilon_prime > epsilon, got {epsilon_prime} <= {epsilon}"

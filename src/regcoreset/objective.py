@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from .linalg import check_exponent, check_lambda, check_positive
 
 # family -> (p, q, r, s); None entries are filled from the p argument.
 FAMILIES = {
@@ -31,15 +31,11 @@ class ObjectiveSpec:
     lam: float
 
     def __post_init__(self):
-        for name in ("p", "q"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 1:
-                raise ValueError(f"{name} must be a finite real >= 1, got {value}")
-        for name in ("r", "s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        check_exponent(self.p, "p")
+        check_exponent(self.q, "q")
+        check_positive(self.r, "r")
+        check_positive(self.s, "s")
+        check_lambda(self.lam)
 
     @classmethod
     def for_family(cls, family: str, lam: float, p: float = 2.0) -> "ObjectiveSpec":

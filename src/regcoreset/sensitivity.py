@@ -30,6 +30,7 @@ from .linalg import (
     RegressionInstance,
     as_matrix,
     augment,
+    check_count,
     check_full_column_rank,
     check_lambda,
     induced_norm_upper,
@@ -103,8 +104,7 @@ class SensitivityScores:
 
 def uniform_scores(n: int) -> SensitivityScores:
     """Every row scores 1/n; the total is 1 by definition."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_count(n, "n")
     return SensitivityScores(np.full(n, 1.0 / n), scheme=SCHEME_UNIFORM, total=1.0)
 
 
@@ -159,8 +159,7 @@ def multiresponse_rlad_sensitivity_bounds(
     """
     if basis.p != 1:
         raise SchemeMismatchError(f"basis was built for p={basis.p}, need p=1")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_count(k, "k")
     ahat = as_matrix(ahat, "ahat")
     n, cols = ahat.shape
     if cols <= k:
