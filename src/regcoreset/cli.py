@@ -22,15 +22,12 @@ from .conditioning import p_conditioned_basis
 from .coreset import Coreset, build_coreset, sample_size, verify_coreset
 from .errors import ShapeError, TheoremInapplicableError
 from .experiments import (
-    _TAG_DATA,
-    _TAG_NOISE,
-    _TAG_QUERIES,
-    _TAG_XTRUE,
     ExperimentConfig,
     canonical_json,
     emit_report,
     generate_ng_matrix,
     generate_response,
+    ng_draws,
     run_relative_error_experiment,
     run_sparsity_experiment,
 )
@@ -60,6 +57,9 @@ from .solvers import (
     solve_rlad,
     solve_ridge,
 )
+
+_TAG_QUERIES = 0x06  # the seed tag of verify's queries
+
 
 class _UsageError(Exception):
     pass
@@ -115,10 +115,9 @@ _DESIGN_TEXT = "\x00"
 
 
 def _cmd_gen_ng(args) -> int:
-    A = generate_ng_matrix(args.n, args.d, args.alpha, mix_seed(args.seed, _TAG_DATA))
-    rng = np.random.default_rng(mix_seed(args.seed, _TAG_XTRUE))
-    x_true = rng.standard_normal(args.d)
-    b = generate_response(A, x_true, args.noise_scale, mix_seed(args.seed, _TAG_NOISE))
+    data_seed, x_true, noise_seed = ng_draws(args.seed, args.d)
+    A = generate_ng_matrix(args.n, args.d, args.alpha, data_seed)
+    b = generate_response(A, x_true, args.noise_scale, noise_seed)
     payload = {
         "config": _config(args),
         "n": args.n,
@@ -220,10 +219,7 @@ _EXPERIMENT_FLAGS = {
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    doc = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = _load_object(args.config, "config") if args.config else {}
     for field, kind in _EXPERIMENT_FLAGS.items():
         value = getattr(args, field)
         if value is None:

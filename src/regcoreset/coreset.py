@@ -26,8 +26,11 @@ from .linalg import (
     check_count,
     check_exponent,
     check_fraction,
+    check_integer,
     check_keys,
+    check_list,
     check_positive,
+    check_real,
 )
 from .objective import ObjectiveSpec
 from .sensitivity import SensitivityScores
@@ -46,19 +49,25 @@ def sample_size(
     """ceil(constant * S / eps^2 * (d*ln(1/eps) + ln(1/delta))), at least 1.
 
     The count is the number of i.i.d. draws, so repeated rows are counted
-    with multiplicity.
+    with multiplicity.  An epsilon so small that the count is not a finite
+    float raises ValueError.
     """
     check_positive(total_sensitivity, "total sensitivity")
     check_fraction(epsilon, "epsilon")
     check_fraction(delta, "delta")
     check_count(d, "d")
     check_positive(constant, "constant")
-    raw = (
-        constant
-        * total_sensitivity
-        / epsilon**2
-        * (d * math.log(1.0 / epsilon) + math.log(1.0 / delta))
-    )
+    try:
+        raw = (
+            constant
+            * total_sensitivity
+            / epsilon**2
+            * (d * math.log(1.0 / epsilon) + math.log(1.0 / delta))
+        )
+    except ZeroDivisionError:  # epsilon**2 underflowed to 0
+        raw = math.inf
+    if not raw < math.inf:
+        raise ValueError(f"epsilon={epsilon} admits no finite sample size")
     return max(int(math.ceil(raw)), 1)
 
 
@@ -121,22 +130,27 @@ class Coreset:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Coreset":
-        """Inverse of to_dict, also after a JSON round trip."""
+        """Inverse of to_dict, also after a JSON round trip; every field must
+        have the type to_dict writes, so nothing is truncated."""
         required = ("n", "d", "r", "seed", "scheme", "source_indices", "weights", "sampled_rows")
         check_keys(doc, required, "coreset document")
-        r, d = int(doc["r"]), int(doc["d"])
-        rows = np.asarray(doc["sampled_rows"], dtype=float)
+        n, d, r = (check_count(doc[key], key) for key in ("n", "d", "r"))
+        if not isinstance(doc["scheme"], str):
+            raise ValueError(f"scheme must be a string, got {doc['scheme']!r}")
+        rows = np.asarray(check_list(doc["sampled_rows"], "sampled_rows", check_real), dtype=float)
         if rows.size != r * (d + 1):
             raise ShapeError(
                 f"sampled_rows payload has {rows.size} entries, expected {r * (d + 1)}"
             )
         return cls(
             rows=rows.reshape(r, d + 1),
-            weights=np.asarray(doc["weights"], dtype=float),
-            source_indices=np.asarray(doc["source_indices"], dtype=int),
-            seed=int(doc["seed"]),
-            scheme=str(doc["scheme"]),
-            n_source=int(doc["n"]),
+            weights=np.asarray(check_list(doc["weights"], "weights", check_real), dtype=float),
+            source_indices=np.asarray(
+                check_list(doc["source_indices"], "source_indices", check_integer), dtype=int
+            ),
+            seed=check_integer(doc["seed"], "seed"),
+            scheme=doc["scheme"],
+            n_source=n,
         )
 
 

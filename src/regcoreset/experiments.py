@@ -26,6 +26,7 @@ from .linalg import (
     RegressionInstance,
     augment,
     check_count,
+    check_integer,
     check_keys,
     check_lambda,
     check_list,
@@ -53,7 +54,6 @@ _TAG_DATA = 0x01
 _TAG_XTRUE = 0x02
 _TAG_NOISE = 0x03
 _TAG_CELL = 0x05
-_TAG_QUERIES = 0x06
 
 EXPERIMENT_SCHEMES = ("uniform", "ridge_leverage", "rlad_sensitivity", "identity")
 _check_scheme = input_rule(str, EXPERIMENT_SCHEMES.__contains__,
@@ -91,10 +91,17 @@ class ExperimentConfig:
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, values)
+        for name in ("n", "d", "master_seed"):
+            check_integer(getattr(self, name), name)
         if check_count(self.trials_per_cell, "trials_per_cell") % 2 == 0:
             raise ValueError(f"trials_per_cell must be odd, got {self.trials_per_cell}")
         if self.objective_family not in _FAMILIES:
             raise ValueError(f"unknown objective family {self.objective_family!r}")
+        for name in ("csv_path", "target_column"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
+        if not isinstance(self.normalize, bool):
+            raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
         if self.csv_path is None:
             _check_ng_settings(self.n, self.d, self.ng_alpha, self.noise_scale, "ng_alpha")
         elif self.target_column is None:
@@ -274,15 +281,21 @@ def build_experiment_instance(
     return _INSTANCE_SLOT[key]
 
 
+def ng_draws(master_seed: int, d: int) -> tuple[int, np.ndarray, int]:
+    """The NG instance's design seed, read-only x_true and noise seed, from master_seed."""
+    x_true = np.random.default_rng(mix_seed(master_seed, _TAG_XTRUE)).standard_normal(
+        check_count(d, "d")
+    )
+    x_true.flags.writeable = False
+    return mix_seed(master_seed, _TAG_DATA), x_true, mix_seed(master_seed, _TAG_NOISE)
+
+
 def _build_ng_instance(n, d, ng_alpha, noise_scale, master_seed):
     """The NG instance, its design and response written straight into its [A  b]."""
+    data_seed, x_true, noise_seed = ng_draws(master_seed, d)
     aprime = np.empty((n, d + 1))
-    _fill_ng_matrix(aprime[:, :-1], ng_alpha, mix_seed(master_seed, _TAG_DATA))
-    x_true = np.random.default_rng(mix_seed(master_seed, _TAG_XTRUE)).standard_normal(d)
-    x_true.flags.writeable = False
-    aprime[:, -1] = generate_response(
-        aprime[:, :-1], x_true, noise_scale, mix_seed(master_seed, _TAG_NOISE)
-    )
+    _fill_ng_matrix(aprime[:, :-1], ng_alpha, data_seed)
+    aprime[:, -1] = generate_response(aprime[:, :-1], x_true, noise_scale, noise_seed)
     return RegressionInstance._owning(aprime), x_true
 
 

@@ -290,6 +290,8 @@ check_positive = input_rule(Real, lambda v: 0 < v < math.inf, "be positive and f
 check_fraction = input_rule(Real, lambda v: 0 < v < 1, "lie in (0, 1)")
 check_exponent = input_rule(Real, lambda v: 1 <= v < math.inf, "be a finite real >= 1")
 check_count = input_rule(Integral, lambda v: v >= 1, "be an integer >= 1")
+check_integer = input_rule(Integral, lambda v: True, "be an integer")
+check_real = input_rule(Real, lambda v: True, "be a number")
 
 
 def check_list(values, name: str, check) -> list:

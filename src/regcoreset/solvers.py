@@ -38,6 +38,7 @@ from .linalg import (
     RegressionInstance,
     as_matrix,
     as_vector,
+    check_fraction,
     check_full_column_rank,
 )
 from .objective import ObjectiveSpec
@@ -181,12 +182,13 @@ def _active_set(instance, spec, tol) -> SolverResult:
     step that would raise the objective, at a minimum no lower than the
     last one (only rounding causes those two), or after _ACTIVE_SET_STEPS
     steps.  tol bounds the certified gap at lam > 0 and the relative KKT
-    residual at lam = 0, where there is no dual bound.
+    residual at lam = 0, where there is no dual bound; it lies in (0, 1).
     By weak duality the dual point u = 2(Rx - c), scaled for the lasso so
     that ||R^T u||_inf <= lam, bounds the minimum below: it certifies gap.
     When that gap is above tol, the x of one more solve on the passive face
     builds a second dual point, and gap is the better of the two.
     """
+    check_fraction(tol, "tol")
     R, c = instance.squared_loss_factor
     d, lam, modified = instance.d, spec.lam, spec.s == 2
     B, e, linear = np.hstack([R, -R]), c, lam / 2.0
@@ -292,7 +294,7 @@ def _gap(R, c, lam, modified, x, objective, tol) -> float:
     if not modified:
         u *= lam / max(slope, lam)
     dual = -(u @ u) / 4.0 - u @ c - (slope**2 / (4.0 * lam) if modified else 0.0)
-    floor = 4.0 * (R.shape[1] + 1) * _EPS * float(c @ c) / tol if tol > 0 else 0.0
+    floor = 4.0 * (R.shape[1] + 1) * _EPS * float(c @ c) / tol
     return max(objective - float(dual), 0.0) / max(objective, floor, _OBJ_FLOOR)
 
 
@@ -345,10 +347,12 @@ def solve_lp_lp(
     or its pivot cap), IRLS goes on as at every other p, where "converged"
     means the stall test: two sweeps in a row whose relative objective drop
     and step both fall below tol.  IRLS stops unconverged after
-    _IRLS_SWEEPS sweeps; the descent's pivots do not count against it.
+    _IRLS_SWEEPS sweeps; the descent's pivots do not count against it.  tol
+    lies in (0, 1).
     """
     if not 1 <= p <= 4:
         raise ValueError(f"p must lie in [1, 4], got {p}")
+    check_fraction(tol, "tol")
     spec = ObjectiveSpec.lp_lp(p, lam)
     if p == 2:
         return solve_ridge(instance, lam)

@@ -13,12 +13,17 @@ import numpy as np
 import pytest
 
 import regcoreset
-from regcoreset.cli import _EXPERIMENT_FLAGS, _load_coreset, _load_instance, dispatch
+from regcoreset.cli import (
+    _EXPERIMENT_FLAGS,
+    _TAG_QUERIES,
+    _load_coreset,
+    _load_instance,
+    dispatch,
+)
 from regcoreset.conditioning import p_conditioned_basis
 from regcoreset.coreset import build_coreset, identity_coreset, verify_coreset
 from regcoreset.experiments import (
     _TAG_DATA,
-    _TAG_QUERIES,
     ExperimentConfig,
     build_experiment_instance,
     canonical_json,
@@ -492,6 +497,68 @@ def test_malformed_list_flags_name_their_field(capsys):
             args += [name, value]
         assert dispatch(args) == 1
         assert f"error: {field}: " in capsys.readouterr().err
+
+
+# A config that runs: each config case below changes one of its fields.
+_GOOD_CONFIG = {"n": 60, "d": 4, "lambda_grid": [0.5], "sample_sizes": [10],
+                "schemes": ["uniform"], "objective_family": "ridge", "trials_per_cell": 1}
+# (what, field, value): a config or coreset document with one field, or the
+# first entry of one list field, set to value; or a flag set to value.  Each
+# such input ran, or stopped on an internal error, before every document
+# field and flag went through an input rule.
+_MALFORMED = [
+    ("config", "config", [1, 2]),  # the whole file
+    *[("config", field, value) for field, values in (
+        ("n", [None, "60", 60.5]),
+        ("d", ["4", 4.0]),
+        ("trials_per_cell", [None, "1", 1.0, True]),
+        ("master_seed", [None, 1.5, True, "1"]),
+        ("ng_alpha", [None, "x"]),
+        ("noise_scale", [None, "x"]),
+        ("sample_sizes", [[2.5]]),
+        ("normalize", ["no"]),
+    ) for value in values],
+    *[("coreset", field, value) for field, value in (
+        ("n", None), ("d", None), ("r", None), ("seed", None),
+        ("n", 1.5), ("seed", 1.5), ("source_indices", 1.5), ("scheme", 3),
+    )],
+    ("coreset entry", "source_indices", 0.5),
+    ("coreset entry", "weights", {}),
+    ("coreset entry", "sampled_rows", {}),
+    ("coreset --epsilon", "epsilon", "1e-200"),
+    ("coreset --epsilon", "epsilon", "1e-160"),
+    *[("solve --tol", "tol", value) for value in ("nan", "-1", "0", "inf")],
+]
+
+
+@pytest.mark.parametrize(
+    "what, field, value", _MALFORMED,
+    ids=[f"{what}-{field}-{value!r}" for what, field, value in _MALFORMED],
+)
+def test_malformed_input_exits_one_and_names_its_field(ng_path, tmp_path, capsys,
+                                                       what, field, value):
+    doc = tmp_path / "doc.json"
+    if what == "config":
+        doc.write_text(json.dumps(value if field == "config" else {**_GOOD_CONFIG, field: value}))
+        argv = ["experiment", "--config", str(doc)]
+    elif what == "coreset --epsilon":
+        argv = ["coreset", "--instance", ng_path, "--scheme", "uniform", "--epsilon", value]
+    elif what == "solve --tol":
+        argv = ["solve", "--instance", ng_path, "--family", "rlad", "--lambda", "0.5",
+                "--tol", value]
+    else:  # a coreset document
+        assert dispatch(["coreset", "--instance", ng_path, "--scheme", "uniform",
+                         "--size", "5", "--out", str(doc)]) == 0
+        core = json.loads(doc.read_text())["coreset"]
+        if what == "coreset entry":
+            core[field][0] = value
+        else:
+            core[field] = value
+        doc.write_text(json.dumps(core))
+        argv = ["solve", "--coreset", str(doc), "--family", "ridge"]
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}")
 
 
 def test_missing_file_exits_one(tmp_path, capsys):

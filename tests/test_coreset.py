@@ -195,6 +195,13 @@ def test_build_coreset_validation():
         build_coreset(inst, uniform_scores(9), 5, seed=0)
 
 
+def test_as_instance_rejects_an_infinite_exponent():
+    # w^(1/p) would be 1 for every row: the rows would come back unweighted.
+    core = build_coreset(_instance(4, 10, 2), uniform_scores(10), 5, seed=0)
+    with pytest.raises(ValueError, match="p must be a finite real >= 1"):
+        core.as_instance(np.inf)
+
+
 def test_coreset_dataclass_validation():
     with pytest.raises(ShapeError):
         Coreset(
