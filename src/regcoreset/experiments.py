@@ -161,6 +161,7 @@ def generate_ng_matrix(n: int, d: int, alpha: float, seed: int) -> np.ndarray:
 
 
 def _check_ng_settings(n, d, alpha, noise_scale=0.0, alpha_name="alpha") -> None:
+    """The NG rule; an error names alpha as the caller does (ng_alpha in a config)."""
     if d < 2 or d % 2 != 0:
         raise ValueError(f"d must be even and >= 2, got {d}")
     if n <= d // 2:
@@ -283,9 +284,8 @@ def build_experiment_instance(
 
 def ng_draws(master_seed: int, d: int) -> tuple[int, np.ndarray, int]:
     """The NG instance's design seed, read-only x_true and noise seed, from master_seed."""
-    x_true = np.random.default_rng(mix_seed(master_seed, _TAG_XTRUE)).standard_normal(
-        check_count(d, "d")
-    )
+    rng = np.random.default_rng(mix_seed(master_seed, _TAG_XTRUE))
+    x_true = rng.standard_normal(check_count(d, "d"))
     x_true.flags.writeable = False
     return mix_seed(master_seed, _TAG_DATA), x_true, mix_seed(master_seed, _TAG_NOISE)
 
