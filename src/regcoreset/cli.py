@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .conditioning import p_conditioned_basis
-from .coreset import Coreset, build_coreset, sample_size, verify_coreset
-from .errors import ShapeError, TheoremInapplicableError
+from .coreset import Coreset, _check_drawn_from, build_coreset, sample_size, verify_coreset
+from .errors import TheoremInapplicableError
 from .experiments import (
     ExperimentConfig,
     canonical_json,
@@ -254,19 +254,11 @@ def _cmd_lowerbound(args) -> int:
         aprime = augment(instance)
     if args.coreset is not None:
         core = _load_coreset(args.coreset)
-        if instance is not None and core.n_source != instance.n:
-            raise ShapeError(
-                f"coreset was drawn from {core.n_source} rows but instance has n={instance.n}"
-            )
+        if instance is not None:
+            _check_drawn_from(core, instance)
     else:
-        core = Coreset(
-            rows=np.array([[1.0, 0.0]]),
-            weights=np.array([1.0]),
-            source_indices=np.array([0]),
-            seed=0,
-            scheme="identity",
-            n_source=2,
-        )
+        core = Coreset(rows=[[1.0, 0.0]], weights=[1.0], source_indices=[0], seed=0,
+                       scheme="identity", n_source=2)
     payload = {"config": _config(args)}
     try:
         witness = demonstrate_violation(

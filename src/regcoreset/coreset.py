@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvalidScoresError, ShapeError, TransferCheckError
 from .linalg import (
     RegressionInstance,
+    _as_array,
     as_matrix,
     as_vector,
     augment,
@@ -28,9 +29,7 @@ from .linalg import (
     check_fraction,
     check_integer,
     check_keys,
-    check_list,
     check_positive,
-    check_real,
 )
 from .objective import ObjectiveSpec
 from .sensitivity import SensitivityScores
@@ -90,11 +89,17 @@ class Coreset:
     def __post_init__(self):
         rows = as_matrix(self.rows, "rows")
         weights = as_vector(self.weights, "weights")
-        indices = np.asarray(self.source_indices, dtype=int)
+        indices = _as_array(self.source_indices, "source_indices", 1, indices=True)
+        n = check_count(self.n_source, "n")  # the document's key
         if rows.shape[0] != weights.shape[0] or rows.shape[0] != indices.shape[0]:
             raise ShapeError("rows, weights and source_indices must align")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
+        if not (indices.min() >= 0 and indices.max() < n):
+            raise ValueError(f"source_indices must lie in [0, {n})")
+        check_integer(self.seed, "seed")
+        if not isinstance(self.scheme, str):
+            raise ValueError(f"scheme must be a string, got {self.scheme!r}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "source_indices", indices)
@@ -130,27 +135,20 @@ class Coreset:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Coreset":
-        """Inverse of to_dict, also after a JSON round trip; every field must
-        have the type to_dict writes, so nothing is truncated."""
+        """Inverse of to_dict, also after a JSON round trip; the constructor checks the fields."""
         required = ("n", "d", "r", "seed", "scheme", "source_indices", "weights", "sampled_rows")
         check_keys(doc, required, "coreset document")
-        n, d, r = (check_count(doc[key], key) for key in ("n", "d", "r"))
-        if not isinstance(doc["scheme"], str):
-            raise ValueError(f"scheme must be a string, got {doc['scheme']!r}")
-        rows = np.asarray(check_list(doc["sampled_rows"], "sampled_rows", check_real), dtype=float)
+        d, r = (check_count(doc[key], key) for key in ("d", "r"))
+        rows = as_vector(doc["sampled_rows"], "sampled_rows")
         if rows.size != r * (d + 1):
-            raise ShapeError(
-                f"sampled_rows payload has {rows.size} entries, expected {r * (d + 1)}"
-            )
+            raise ShapeError(f"sampled_rows has {rows.size} entries, expected {r * (d + 1)}")
         return cls(
             rows=rows.reshape(r, d + 1),
-            weights=np.asarray(check_list(doc["weights"], "weights", check_real), dtype=float),
-            source_indices=np.asarray(
-                check_list(doc["source_indices"], "source_indices", check_integer), dtype=int
-            ),
-            seed=check_integer(doc["seed"], "seed"),
+            weights=doc["weights"],
+            source_indices=doc["source_indices"],
+            seed=doc["seed"],
             scheme=doc["scheme"],
-            n_source=n,
+            n_source=doc["n"],
         )
 
 
@@ -201,6 +199,15 @@ class CoresetVerificationReport:
     passed: bool
 
 
+def _check_drawn_from(coreset: Coreset, instance: RegressionInstance) -> None:
+    """Raise ShapeError unless the coreset was drawn from an instance of this width and n."""
+    if coreset.d != instance.d:
+        raise ShapeError(f"coreset is {coreset.d}-dimensional but instance has d={instance.d}")
+    if coreset.n_source != instance.n:
+        raise ShapeError(f"coreset was drawn from {coreset.n_source} rows but instance has "
+                         f"n={instance.n}")
+
+
 def _checked_queries(
     instance: RegressionInstance, coreset: Coreset, queries, epsilon: float
 ) -> list:
@@ -208,15 +215,7 @@ def _checked_queries(
     queries = list(queries)
     if not queries:
         raise ValueError("need at least one query")
-    if coreset.d != instance.d:
-        raise ShapeError(
-            f"coreset is {coreset.d}-dimensional but instance has d={instance.d}"
-        )
-    if coreset.n_source != instance.n:
-        raise ShapeError(
-            f"coreset was drawn from {coreset.n_source} rows but instance has "
-            f"n={instance.n}"
-        )
+    _check_drawn_from(coreset, instance)
     return queries
 
 

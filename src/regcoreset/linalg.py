@@ -29,12 +29,29 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return _as_array(values, name, 1)
 
 
-def _as_array(values, name: str, ndim: int) -> np.ndarray:
-    a = np.asarray(values, dtype=float)
-    if a.ndim != ndim:
-        raise ShapeError(f"{name} must be {ndim}-D, got ndim={a.ndim}")
-    if a.size == 0:
+def _as_array(values, name: str, ndim: int, indices: bool = False) -> np.ndarray:
+    """The rule for every array read: float64, or int64 indices, non-empty and finite.
+
+    An ndarray is judged by its dtype kind, in O(1); anything else by each
+    entry's own type, an int or a float and never a bool, since numpy's
+    conversion alone reads "1" and true as numbers.  Indices are ints.
+    """
+    kind, what, dtype = (Integral, "integers", np.int64) if indices else (Real, "numbers", float)
+    if not isinstance(values, np.ndarray) or values.dtype == object:
+        values = np.array(values, dtype=object)  # references to the entries
+        if any(t is bool or not issubclass(t, kind) for t in set(map(type, values.flat))):
+            bad = next(v for v in values.flat if type(v) is bool or not isinstance(v, kind))
+            raise ValueError(f"{name} entries must be {what}, got {bad!r}")
+    elif values.dtype.kind not in ("iu" if indices else "iuf"):
+        raise ValueError(f"{name} must hold {what}, got dtype {values.dtype}")
+    if values.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-D, got ndim={values.ndim}")
+    if values.size == 0:
         raise ShapeError(f"{name} must be non-empty")
+    try:
+        a = np.asarray(values, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{name} entries must fit in {np.dtype(dtype).name}") from None
     # min and max pass a NaN on, and allocate nothing
     if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError(f"{name} contains NaN or Inf entries")
@@ -291,7 +308,6 @@ check_fraction = input_rule(Real, lambda v: 0 < v < 1, "lie in (0, 1)")
 check_exponent = input_rule(Real, lambda v: 1 <= v < math.inf, "be a finite real >= 1")
 check_count = input_rule(Integral, lambda v: v >= 1, "be an integer >= 1")
 check_integer = input_rule(Integral, lambda v: True, "be an integer")
-check_real = input_rule(Real, lambda v: True, "be a number")
 
 
 def check_list(values, name: str, check) -> list:

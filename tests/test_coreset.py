@@ -223,6 +223,24 @@ def test_coreset_dataclass_validation():
         )
 
 
+def test_coreset_constructor_checks_every_field():
+    # The constructor is the one place a coreset's fields are checked: an
+    # index is an integer among the n_source rows it was drawn from.
+    good = dict(rows=np.ones((1, 3)), weights=np.ones(1), source_indices=[2], seed=0,
+                scheme="uniform", n_source=3)
+    assert Coreset(**good).source_indices.tolist() == [2]
+    for field, value, words in (
+        ("source_indices", [0.5], "source_indices entries must be integers"),
+        ("source_indices", [-1], r"source_indices must lie in \[0, 3\)"),
+        ("source_indices", [3], r"source_indices must lie in \[0, 3\)"),
+        ("n_source", 0, "n must be an integer >= 1"),
+        ("seed", 0.5, "seed must be an integer"),
+        ("scheme", 3, "scheme must be a string"),
+    ):
+        with pytest.raises(ValueError, match=words):
+            Coreset(**{**good, field: value})
+
+
 def test_coreset_json_roundtrip():
     inst = _instance(5, 30, 3)
     core = build_coreset(inst, uniform_scores(30), 8, seed=11)

@@ -48,6 +48,22 @@ def test_as_vector_rejects_bad_shapes_and_values():
         as_vector([np.nan])
 
 
+def test_arrays_are_read_by_the_type_of_each_entry():
+    # numpy alone reads [1.5, True] as floats and "1" as 1.0 with dtype=float.
+    for values, words in (
+        ([1.5, True], "v entries must be numbers, got True"),
+        (["1"], "v entries must be numbers, got '1'"),
+        ([{}], "v entries must be numbers, got {}"),
+        ([10**400], "v entries must fit in float64"),
+        (np.array([True]), "v must hold numbers, got dtype bool"),
+    ):
+        with pytest.raises(ValueError, match=words):
+            as_vector(values, "v")
+    assert as_vector([1, np.float32(0.5), np.int64(2)]).tolist() == [1.0, 0.5, 2.0]
+    held = np.arange(3.0)
+    assert as_vector(held) is held  # an ndarray of a numeric dtype is not copied
+
+
 _FLOATS = st.one_of(
     st.floats(allow_nan=False),
     st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
