@@ -86,15 +86,11 @@ def _conditioning_ratios(U: np.ndarray, p: float, Z: np.ndarray) -> np.ndarray:
     """||z||_q / ||Uz||_p per column of Z (scale invariant in z)."""
     q = dual_exponent(p)
     num = _dual_norms(Z, q)
-    # One n x N buffer: |UZ|^p is formed in place, and at p = 1 the power and
-    # the root are skipped, which is exact since x ** 1.0 == x.
+    # One n x N buffer: |UZ|^p is formed in place.
     UZ = U @ Z
     np.abs(UZ, out=UZ)
-    if p != 1:
-        np.power(UZ, p, out=UZ)
-    den = np.sum(UZ, axis=0)
-    if p != 1:
-        den **= 1.0 / p
+    np.power(UZ, p, out=UZ)
+    den = np.sum(UZ, axis=0) ** (1.0 / p)
     mask = den > 0
     out = np.zeros(Z.shape[1])
     out[mask] = num[mask] / den[mask]

@@ -103,9 +103,11 @@ class ExperimentConfig:
         if not isinstance(self.normalize, bool):
             raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
         if self.csv_path is None:
-            _check_ng_settings(self.n, self.d, self.ng_alpha, self.noise_scale, "ng_alpha")
+            _check_ng_shape(self.n, self.d)
         elif self.target_column is None:
             raise ValueError("csv_path requires target_column")
+        check_positive(self.ng_alpha, "ng_alpha")
+        check_lambda(self.noise_scale, "noise_scale")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -154,20 +156,19 @@ def generate_ng_matrix(n: int, d: int, alpha: float, seed: int) -> np.ndarray:
     are [0, I].  The tiny alpha makes the first d/2 columns almost invisible
     to uniform sampling while the identity rows are indispensable.
     """
-    _check_ng_settings(n, d, alpha)
+    _check_ng_shape(n, d)
+    check_positive(alpha, "alpha")
     A = np.empty((n, d))
     _fill_ng_matrix(A, alpha, seed)
     return A
 
 
-def _check_ng_settings(n, d, alpha, noise_scale=0.0, alpha_name="alpha") -> None:
-    """The NG rule; an error names alpha as the caller does (ng_alpha in a config)."""
+def _check_ng_shape(n, d) -> None:
+    """The NG rule on n and d: d even and >= 2, n > d/2."""
     if d < 2 or d % 2 != 0:
         raise ValueError(f"d must be even and >= 2, got {d}")
     if n <= d // 2:
         raise ValueError(f"need n > d/2, got n={n}, d={d}")
-    check_positive(alpha, alpha_name)
-    check_lambda(noise_scale, "noise_scale")
 
 
 def _fill_ng_matrix(out: np.ndarray, alpha: float, seed: int) -> None:

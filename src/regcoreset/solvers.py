@@ -268,7 +268,7 @@ def _active_set(instance, spec, tol) -> SolverResult:
             gap = min(gap, _gap(R, c, lam, modified, fine_x, history[-1], tol))
     return SolverResult(
         solution=x,
-        objective_value=evaluate_objective(instance, x, spec),
+        objective_value=history[-1],  # the objective of this x, as evaluate_objective gives it
         iterations=iterations,
         converged=bool(gap <= tol if lam > 0 else residual <= tol),
         optimality_residual=residual,

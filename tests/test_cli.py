@@ -2,8 +2,10 @@
 
 import binascii
 import dataclasses
+import hashlib
 import json
 import os
+import reprlib
 import subprocess
 import sys
 import tracemalloc
@@ -175,24 +177,66 @@ for argv in steps:
 """
 
 
-def test_default_tol_converges_on_readme_chain(tmp_path):
-    # This coreset once held a first-order solver's residual just above a
-    # 1e-8 default, so it ran all 20000 iterations and printed converged:
-    # false; the active set ends in a few steps with a certified gap.
-    paths = [str(tmp_path / name) for name in ("inst.json", "core.json", "out.json")]
-    env = dict(
+def _one_blas_thread_env() -> dict:
+    """The environment of a subprocess that imports this package on one BLAS thread.
+
+    The gen-ng file's last bits depend on the BLAS thread count.
+    """
+    return dict(
         os.environ,
         OPENBLAS_NUM_THREADS="1",
         OMP_NUM_THREADS="1",
         MKL_NUM_THREADS="1",
         PYTHONPATH=os.path.dirname(os.path.dirname(regcoreset.__file__)),
     )
+
+
+def test_default_tol_converges_on_readme_chain(tmp_path):
+    # This coreset once held a first-order solver's residual just above a
+    # 1e-8 default, so it ran all 20000 iterations and printed converged:
+    # false; the active set ends in a few steps with a certified gap.
+    paths = [str(tmp_path / name) for name in ("inst.json", "core.json", "out.json")]
     subprocess.run(
-        [sys.executable, "-c", _SEED6_CHAIN, *paths], env=env, check=True, timeout=300
+        [sys.executable, "-c", _SEED6_CHAIN, *paths], env=_one_blas_thread_env(), check=True,
+        timeout=300,
     )
     doc = json.loads((tmp_path / "out.json").read_text())
     assert doc["converged"] is True
     assert doc["iterations"] < 100
+
+
+# sha256 of each document of the README chain at n = 400, d = 6 and seed 2,
+# on one BLAS thread, less its config echo (which names the files).
+_CHAIN_SHA256 = {
+    "instance": "d3ba6613335fb72d2e0fa3239a150499a4d8c4980676ac867b3b178e2196cee1",
+    "coreset": "1414ba3b87101e6be70a12a00ac70523d0f1a3ee087fa962e458861c7de10b88",
+    "solve-instance": "07e679905af9e24faa81c202395388429a1e56c395b81291738e048ecdd4743c",
+    "solve-coreset": "6a226969bed0fe04c8b803252ff178854524c6b821d4460a14a00fd51c28008b",
+    "verify": "fa100818660ee2d63cd076b3f0230ad207faf90a00efaf3786f5c38ddfa9d45f",
+}
+
+
+def test_readme_chain_documents_keep_their_bytes(tmp_path):
+    # Each step runs in its own process, as the README runs it.
+    path = {name: str(tmp_path / f"{name}.json") for name in _CHAIN_SHA256}
+    lam = ["--family", "modified_lasso", "--lambda", "0.5"]
+    steps = {
+        "instance": ["gen-ng", "--n", "400", "--d", "6", "--seed", "2"],
+        "coreset": ["coreset", "--instance", path["instance"], "--scheme", "ridge-leverage",
+                    "--lambda", "0.5", "--size", "50", "--seed", "2"],
+        "solve-instance": ["solve", "--instance", path["instance"], *lam],
+        "solve-coreset": ["solve", "--coreset", path["coreset"], *lam],
+        "verify": ["verify", "--instance", path["instance"], "--coreset", path["coreset"],
+                   *lam, "--epsilon", "0.3", "--queries", "500", "--seed", "2"],
+    }
+    digests = {}
+    for name, argv in steps.items():
+        subprocess.run([sys.executable, "-m", "regcoreset.cli", *argv, "--out", path[name]],
+                       env=_one_blas_thread_env(), check=True, timeout=120)
+        doc = json.loads(Path(path[name]).read_text())
+        del doc["config"]
+        digests[name] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    assert digests == _CHAIN_SHA256
 
 
 def test_coreset_epsilon_sizing(tmp_path):
@@ -502,10 +546,15 @@ def test_malformed_list_flags_name_their_field(capsys):
 # A config that runs: each config case below changes one of its fields.
 _GOOD_CONFIG = {"n": 60, "d": 4, "lambda_grid": [0.5], "sample_sizes": [10],
                 "schemes": ["uniform"], "objective_family": "ridge", "trials_per_cell": 1}
+# A 400-digit integer: JSON allows it, and no float64 or int64 holds it.
+_HUGE = 10**400
 # (what, field, value): a config or coreset document with one field, or the
-# first entry of one list field, set to value; or a flag set to value.  Each
-# such input ran, or stopped on an internal error, before every document
-# field and flag went through an input rule.
+# first (or second) entry of one list field, set to value; a list-form
+# instance with the first entry of its design or response set to value; a
+# config of a CSV instance with one field set to value; or a flag set to
+# value.  Each such input ran, or stopped on an internal error, before every
+# document field and flag went through an input rule, and every array
+# through one rule by entry type.
 _MALFORMED = [
     ("config", "config", [1, 2]),  # the whole file
     *[("config", field, value) for field, values in (
@@ -525,6 +574,18 @@ _MALFORMED = [
     ("coreset entry", "source_indices", 0.5),
     ("coreset entry", "weights", {}),
     ("coreset entry", "sampled_rows", {}),
+    # ng_path's n is 120, so an index must lie in [0, 120).
+    *[("coreset entry", "source_indices", value) for value in (-1, 120, 10**30)],
+    ("coreset entry", "weights", _HUGE),
+    # A rule on numpy's inferred dtype alone would let these through, as
+    # numpy reads [w, true, ...] as floats.
+    ("coreset second entry", "weights", True),
+    ("coreset second entry", "sampled_rows", True),
+    *[("instance", "design", value) for value in ("1", True, {}, _HUGE)],
+    ("instance", "response", "1"),
+    ("csv config", "ng_alpha", "x"),
+    ("csv config", "ng_alpha", None),
+    ("csv config", "noise_scale", None),
     ("coreset --epsilon", "epsilon", "1e-200"),
     ("coreset --epsilon", "epsilon", "1e-160"),
     *[("solve --tol", "tol", value) for value in ("nan", "-1", "0", "inf")],
@@ -533,7 +594,7 @@ _MALFORMED = [
 
 @pytest.mark.parametrize(
     "what, field, value", _MALFORMED,
-    ids=[f"{what}-{field}-{value!r}" for what, field, value in _MALFORMED],
+    ids=[f"{what}-{field}-{reprlib.repr(value)}" for what, field, value in _MALFORMED],
 )
 def test_malformed_input_exits_one_and_names_its_field(ng_path, tmp_path, capsys,
                                                        what, field, value):
@@ -546,12 +607,26 @@ def test_malformed_input_exits_one_and_names_its_field(ng_path, tmp_path, capsys
     elif what == "solve --tol":
         argv = ["solve", "--instance", ng_path, "--family", "rlad", "--lambda", "0.5",
                 "--tol", value]
+    elif what == "instance":
+        inst = {"design": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "response": [1.0, 2.0, 3.0]}
+        (inst["design"][0] if field == "design" else inst["response"])[0] = value
+        doc.write_text(json.dumps(inst))
+        argv = ["solve", "--instance", str(doc), "--family", "ridge"]
+    elif what == "csv config":
+        # With valid NG settings this config runs on the 4-row CSV and exits 0.
+        csv = tmp_path / "d.csv"
+        csv.write_text("a,b,y\n1,0,1\n0,1,2\n1,1,3\n2,1,5\n")
+        doc.write_text(json.dumps({**_GOOD_CONFIG, "csv_path": str(csv), "target_column": "y",
+                                   field: value}))
+        argv = ["experiment", "--config", str(doc)]
     else:  # a coreset document
         assert dispatch(["coreset", "--instance", ng_path, "--scheme", "uniform",
                          "--size", "5", "--out", str(doc)]) == 0
         core = json.loads(doc.read_text())["coreset"]
         if what == "coreset entry":
             core[field][0] = value
+        elif what == "coreset second entry":
+            core[field][1] = value
         else:
             core[field] = value
         doc.write_text(json.dumps(core))
