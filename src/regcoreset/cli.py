@@ -145,8 +145,8 @@ def _scores_for_cli(args, instance: RegressionInstance):
 
 def _cmd_coreset(args) -> int:
     check_lambda(args.lam)
-    if args.size is None and args.epsilon is None:
-        raise ValueError("give either --size or --epsilon")
+    if (args.size is None) == (args.epsilon is None):
+        raise ValueError("give exactly one of --size or --epsilon")
     if args.epsilon is not None:
         check_fraction(args.epsilon, "epsilon")
     instance = _load_instance(args.instance)
@@ -154,15 +154,13 @@ def _cmd_coreset(args) -> int:
     if args.size is not None:
         r = args.size
     else:
-        r = sample_size(
-            scores.total, args.epsilon, args.delta, instance.d + 1, args.constant
-        )
+        r = sample_size(scores.total, args.epsilon, args.delta, instance.d + 1)
     core = build_coreset(instance, scores, r, args.seed)
     ignored = [] if args.scheme == "lp-lp" else ["p"]  # only the lp-lp bounds read it
     if args.scheme == "uniform":
         ignored.append("lam")  # uniform scores do not read it
     if args.size is not None:
-        ignored += ["epsilon", "delta", "constant"]  # only --epsilon sizing reads them
+        ignored += ["epsilon", "delta"]  # only --epsilon sizing reads them
     payload = {"config": _config(args, *ignored), "coreset": core.to_dict()}
     _write(canonical_json(payload), args.out)
     return 0
@@ -261,9 +259,7 @@ def _cmd_lowerbound(args) -> int:
                        scheme="identity", n_source=2)
     payload = {"config": _config(args)}
     try:
-        witness = demonstrate_violation(
-            aprime, core, spec, args.epsilon, seed=args.seed, probes=args.probes
-        )
+        witness = demonstrate_violation(aprime, core, spec, args.epsilon, seed=args.seed)
     except TheoremInapplicableError as exc:
         payload.update(status="theorem-inapplicable", detail=str(exc))
     else:
@@ -283,8 +279,8 @@ def build_parser() -> _Parser:
     g = sub.add_parser("gen-ng", help="generate a nearly-degenerate instance")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int, required=True)
-    g.add_argument("--alpha", type=float, default=0.00065)
-    g.add_argument("--noise-scale", type=float, default=1e-5)
+    g.add_argument("--alpha", type=float, default=ExperimentConfig.ng_alpha)
+    g.add_argument("--noise-scale", type=float, default=ExperimentConfig.noise_scale)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
     g.set_defaults(func=_cmd_gen_ng)
@@ -300,7 +296,6 @@ def build_parser() -> _Parser:
     c.add_argument("--size", type=int, default=None)
     c.add_argument("--epsilon", type=float, default=None)
     c.add_argument("--delta", type=float, default=0.1)
-    c.add_argument("--constant", type=float, default=0.5)
     c.add_argument("--p", type=float, default=2.0)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default=None)
@@ -354,7 +349,6 @@ def build_parser() -> _Parser:
     lb.add_argument("--lambda", dest="lam", type=float, default=1.0)
     lb.add_argument("--epsilon", type=float, default=0.1)
     lb.add_argument("--seed", type=int, default=0)
-    lb.add_argument("--probes", type=int, default=200)
     lb.add_argument("--out", default=None)
     lb.set_defaults(func=_cmd_lowerbound)
     return parser

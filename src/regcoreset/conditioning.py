@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningFailureError, ShapeError
-from .linalg import as_matrix, check_count, entrywise_p_norm, induced_norm_upper, tall_qr_r
+from .linalg import (as_matrix, check_basis_exponent, check_count, entrywise_p_norm,
+                     induced_norm_upper, tall_qr_r)
 
 _ALPHA_MARGIN = 1.01
 # Lewis fixed-point steps at every p but 2, which needs one.  Measured at
@@ -147,8 +148,7 @@ def p_conditioned_basis(Aprime, p: float) -> WellConditionedBasis:
     n, m = Aprime.shape
     if n < m:
         raise ShapeError(f"need a tall matrix, got {n}x{m}")
-    if not 1 <= p <= 4:
-        raise ValueError(f"p must lie in [1, 4], got {p}")
+    check_basis_exponent(p)
     # Before the Lewis steps, so its |A'| temporaries do not add to their peak.
     induced_norm = induced_norm_upper(Aprime, p)
     U, R, c = _lewis_basis(Aprime, p)

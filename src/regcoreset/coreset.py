@@ -30,35 +30,32 @@ from .linalg import (
     check_integer,
     check_keys,
     check_positive,
+    check_string,
 )
 from .objective import ObjectiveSpec
 from .sensitivity import SensitivityScores
 from .solvers import evaluate_objective
 
 SCHEME_IDENTITY = "identity"
+# The constant of the sample-size bound: part of the recipe, not a setting.
+_SAMPLE_CONSTANT = 0.5
 
 
-def sample_size(
-    total_sensitivity: float,
-    epsilon: float,
-    delta: float,
-    d: int,
-    constant: float = 0.5,
-) -> int:
-    """ceil(constant * S / eps^2 * (d*ln(1/eps) + ln(1/delta))), at least 1.
+def sample_size(total_sensitivity: float, epsilon: float, delta: float, d: int) -> int:
+    """ceil(0.5 * S / eps^2 * (d*ln(1/eps) + ln(1/delta))), at least 1.
 
-    The count is the number of i.i.d. draws, so repeated rows are counted
-    with multiplicity.  An epsilon so small that the count is not a finite
-    float raises ValueError.
+    S is the total sensitivity; 0.5 is _SAMPLE_CONSTANT, fixed.  The count
+    is the number of i.i.d. draws, so repeated rows are counted with
+    multiplicity.  An epsilon so small that the count is not a finite float
+    raises ValueError.
     """
     check_positive(total_sensitivity, "total sensitivity")
     check_fraction(epsilon, "epsilon")
     check_fraction(delta, "delta")
     check_count(d, "d")
-    check_positive(constant, "constant")
     try:
         raw = (
-            constant
+            _SAMPLE_CONSTANT
             * total_sensitivity
             / epsilon**2
             * (d * math.log(1.0 / epsilon) + math.log(1.0 / delta))
@@ -98,8 +95,7 @@ class Coreset:
         if not (indices.min() >= 0 and indices.max() < n):
             raise ValueError(f"source_indices must lie in [0, {n})")
         check_integer(self.seed, "seed")
-        if not isinstance(self.scheme, str):
-            raise ValueError(f"scheme must be a string, got {self.scheme!r}")
+        check_string(self.scheme, "scheme")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "source_indices", indices)

@@ -22,18 +22,9 @@ import numpy as np
 from .conditioning import p_conditioned_basis
 from .coreset import build_coreset, identity_coreset
 from .errors import DegenerateSignalError, ParseError, SchemaError
-from .linalg import (
-    RegressionInstance,
-    augment,
-    check_count,
-    check_integer,
-    check_keys,
-    check_lambda,
-    check_list,
-    check_positive,
-    input_rule,
-    row_blocks,
-)
+from .linalg import (RegressionInstance, _as_array, as_matrix, as_vector, augment, check_count,
+                     check_integer, check_keys, check_lambda, check_list, check_positive,
+                     check_string, input_rule, row_blocks)
 from .objective import FAMILIES, ObjectiveSpec
 from .seeding import mix_seed
 from .sensitivity import (
@@ -196,8 +187,7 @@ def generate_response(A, x_true, noise_scale: float, seed: int) -> np.ndarray:
     The rescaling pins the relative noise level exactly:
     ||b - Ax|| / ||Ax|| = noise_scale.
     """
-    A = np.asarray(A, dtype=float)
-    x_true = np.asarray(x_true, dtype=float)
+    A, x_true = as_matrix(A, "A"), as_vector(x_true, "x_true")
     check_lambda(noise_scale, "noise_scale")
     signal = A @ x_true
     if noise_scale == 0:
@@ -462,13 +452,13 @@ def _six_significant(value: float) -> str:
 
 
 def parse_report(text: str) -> DataTable:
-    """Inverse of emit_report(..., 'json')."""
+    """Inverse of emit_report(..., 'json'); ValueError names a malformed field."""
     doc = check_keys(json.loads(text), ("rows", "cols", "cells", "trials", "config_digest"),
                      "report")
     return DataTable(
-        row_labels=list(doc["rows"]),
-        col_labels=list(doc["cols"]),
-        cells=doc["cells"],
-        trials=doc["trials"],
-        config_digest=doc["config_digest"],
+        row_labels=check_list(doc["rows"], "rows", check_string),
+        col_labels=check_list(doc["cols"], "cols", check_string),
+        cells=_as_array(doc["cells"], "cells", 2).tolist(),
+        trials=_as_array(doc["trials"], "trials", 3).tolist(),
+        config_digest=check_string(doc["config_digest"], "config_digest"),
     )

@@ -182,10 +182,8 @@ class RegressionInstance:
             response = decode_array(response, "response")
         response = as_vector(response, "response")
         if aprime.shape[0] != response.shape[0]:
-            raise ShapeError(
-                f"design has {aprime.shape[0]} rows but response has "
-                f"{response.shape[0]} entries"
-            )
+            raise ShapeError(f"design has {aprime.shape[0]} rows but response has "
+                             f"{response.shape[0]} entries")
         aprime[:, -1] = response
         self._hold(aprime)
 
@@ -306,8 +304,10 @@ check_lambda = input_rule(Real, lambda v: 0 <= v < math.inf, "be finite and >= 0
 check_positive = input_rule(Real, lambda v: 0 < v < math.inf, "be positive and finite")
 check_fraction = input_rule(Real, lambda v: 0 < v < 1, "lie in (0, 1)")
 check_exponent = input_rule(Real, lambda v: 1 <= v < math.inf, "be a finite real >= 1")
+check_basis_exponent = input_rule(Real, lambda v: 1 <= v <= 4, "lie in [1, 4]", "p")
 check_count = input_rule(Integral, lambda v: v >= 1, "be an integer >= 1")
 check_integer = input_rule(Integral, lambda v: True, "be an integer")
+check_string = input_rule(str, lambda v: True, "be a string")
 
 
 def check_list(values, name: str, check) -> list:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coreset import Coreset
 from .errors import ShapeError, TheoremInapplicableError
-from .linalg import as_matrix, augment, check_count, check_fraction, check_lambda
+from .linalg import as_matrix, augment, check_fraction, check_lambda
 from .objective import ObjectiveSpec
 from .solvers import _objective
 
@@ -25,6 +25,9 @@ UNDERSHOOT = "undershoot"
 
 _MARGIN_UP = 1.01
 _MARGIN_DOWN = 0.99
+# Seeded random directions the violation search tries besides the right
+# singular vectors of A': part of the witness recipe, not a setting.
+_PROBES = 200
 
 
 @dataclass(frozen=True)
@@ -71,14 +74,14 @@ def find_unregularized_violation(
     p: float,
     r: float,
     epsilon: float,
-    probes: int = 200,
     seed: int = 0,
 ) -> ViolationProbe | None:
     """Search for x with ||Cx||_p^r outside (1 +/- eps) * ||A'x||_p^r.
 
     C is the coreset's rows weighted for the loss exponent p.  Candidates are
-    seeded random unit directions plus the right singular vectors of A'
-    (which expose directions the sampled rows miss entirely).
+    _PROBES (200) random unit directions drawn from seed, plus the right
+    singular vectors of A' (which expose directions the sampled rows miss
+    entirely).
     Returns the probe with the largest deviation epsilon', or None when every
     candidate is preserved within epsilon.
     """
@@ -89,10 +92,9 @@ def find_unregularized_violation(
             f"{aprime.shape[1]}"
         )
     check_fraction(epsilon, "epsilon")
-    check_count(probes, "probes")
     m = aprime.shape[1]
     rng = np.random.default_rng(seed)
-    candidates = rng.standard_normal((probes, m))
+    candidates = rng.standard_normal((_PROBES, m))
     candidates /= np.linalg.norm(candidates, axis=1, keepdims=True)
     if aprime.shape[0] >= m:
         _, _, vt = np.linalg.svd(aprime, full_matrices=False)
@@ -168,10 +170,10 @@ def demonstrate_violation(
     spec: ObjectiveSpec,
     epsilon: float,
     seed: int = 0,
-    probes: int = 200,
 ) -> CounterexampleWitness | None:
     """Full chain: find a violation, rescale it, certify the regularized gap.
 
+    The search tries the directions of find_unregularized_violation at seed.
     The witness query y = alpha * x must push the coreset-to-full ratio of
     ||.||_p^r + lam*||.||_q^s outside 1 -/+ (eps + eps')/2; that band check is
     asserted before returning.  Returns None when no unregularized violation
@@ -182,9 +184,7 @@ def demonstrate_violation(
             "matching loss and penalty exponents admit no scaling counterexample"
         )
     aprime = as_matrix(aprime, "aprime")
-    probe = find_unregularized_violation(
-        aprime, coreset, spec.p, spec.r, epsilon, probes=probes, seed=seed
-    )
+    probe = find_unregularized_violation(aprime, coreset, spec.p, spec.r, epsilon, seed=seed)
     if probe is None:
         return None
     x = probe.x

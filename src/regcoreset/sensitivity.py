@@ -29,6 +29,7 @@ from .errors import (
 from .linalg import (
     RegressionInstance,
     as_matrix,
+    as_vector,
     augment,
     check_count,
     check_full_column_rank,
@@ -71,11 +72,12 @@ class SensitivityScores:
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise InvalidScoresError("values must be a non-empty 1-D array")
-        if not np.all(np.isfinite(values)) or np.any(values < 0) or not values.any():
-            raise InvalidScoresError("scores must be finite, >= 0 and not all zero")
+        try:
+            values = as_vector(self.values, "values")
+        except ValueError as exc:
+            raise InvalidScoresError(str(exc)) from None
+        if np.any(values < 0) or not values.any():
+            raise InvalidScoresError("scores must be >= 0 and not all zero")
         if self.scheme not in SCHEMES:
             raise InvalidScoresError(f"unknown scheme {self.scheme!r}")
         total = self.total
@@ -152,13 +154,11 @@ def multiresponse_rlad_sensitivity_bounds(
 ) -> SensitivityScores:
     """Bounds for the k-response absolute-deviations objective.
 
-    ahat is the stacked matrix [A  -B] the basis was built from.  The
-    denominator uses the induced 1-norm of the design block A alone; the
-    basis's norm of the full stacked matrix is recorded alongside it since the
-    two differ whenever B carries the largest column.
+    ahat is the stacked matrix [A  -B] the p = 1 basis was built from.  The
+    RLAD bounds' denominator uses the induced 1-norm of the design block A
+    alone; the basis's norm of the full stacked matrix is recorded alongside
+    it since the two differ whenever B carries the largest column.
     """
-    if basis.p != 1:
-        raise SchemeMismatchError(f"basis was built for p={basis.p}, need p=1")
     check_count(k, "k")
     ahat = as_matrix(ahat, "ahat")
     n, cols = ahat.shape
@@ -167,7 +167,7 @@ def multiresponse_rlad_sensitivity_bounds(
     if basis.basis.shape[0] != n:
         raise ShapeError(f"basis has {basis.basis.shape[0]} rows, ahat has {n}")
     design_norm = induced_norm_upper(ahat[:, : cols - k], 1)
-    scores = lp_lp_sensitivity_bounds(replace(basis, induced_norm=design_norm), lam)
+    scores = rlad_sensitivity_bounds(replace(basis, induced_norm=design_norm), lam)
     return replace(
         scores,
         scheme=SCHEME_MULTIRESPONSE,

@@ -38,6 +38,7 @@ from .linalg import (
     RegressionInstance,
     as_matrix,
     as_vector,
+    check_basis_exponent,
     check_fraction,
     check_full_column_rank,
 )
@@ -350,8 +351,7 @@ def solve_lp_lp(
     _IRLS_SWEEPS sweeps; the descent's pivots do not count against it.  tol
     lies in (0, 1).
     """
-    if not 1 <= p <= 4:
-        raise ValueError(f"p must lie in [1, 4], got {p}")
+    check_basis_exponent(p)
     check_fraction(tol, "tol")
     spec = ObjectiveSpec.lp_lp(p, lam)
     if p == 2:

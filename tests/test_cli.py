@@ -20,6 +20,7 @@ from regcoreset.cli import (
     _TAG_QUERIES,
     _load_coreset,
     _load_instance,
+    build_parser,
     dispatch,
 )
 from regcoreset.conditioning import p_conditioned_basis
@@ -257,11 +258,18 @@ def test_coreset_epsilon_sizing(tmp_path):
     assert doc["coreset"]["r"] >= 1
     assert doc["config"] == {
         "subcommand": "coreset", "instance": str(inst_path), "scheme": "uniform",
-        "size": None, "epsilon": 0.5, "delta": 0.1, "constant": 0.5, "seed": 0,
+        "size": None, "epsilon": 0.5, "delta": 0.1, "seed": 0,
     }
-    for constant in ("inf", "nan"):
-        assert dispatch(["coreset", "--instance", str(inst_path), "--scheme", "uniform",
-                         "--epsilon", "0.5", "--constant", constant]) == 1, constant
+
+
+def test_coreset_takes_exactly_one_of_size_and_epsilon(tmp_path, capsys):
+    inst = _write_instance(tmp_path / "i.json", [[1.0], [2.0]], [1.0, 3.0])
+    out = tmp_path / "c.json"
+    argv = ["coreset", "--instance", inst, "--scheme", "uniform", "--out", str(out)]
+    for sizing in ([], ["--size", "2", "--epsilon", "0.5"]):
+        assert dispatch([*argv, *sizing]) == 1, sizing
+        assert "give exactly one of --size or --epsilon" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_identity_coreset(tmp_path, capsys):
@@ -427,11 +435,11 @@ def test_lowerbound_echoes_every_setting(tmp_path, capsys):
     assert dispatch(["coreset", "--instance", inst, "--scheme", "uniform",
                      "--size", "3", "--out", str(core)]) == 0
     assert dispatch(["lowerbound", "--instance", inst, "--coreset", str(core),
-                     "--lambda", "5", "--probes", "50"]) == 0
+                     "--lambda", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["config"] == {
         "subcommand": "lowerbound", "instance": inst, "coreset": str(core),
         "p": 2.0, "q": 1.0, "r": 2.0, "s": 1.0, "lambda": 5.0, "epsilon": 0.1,
-        "seed": 0, "probes": 50,
+        "seed": 0,
     }
     # A misspelled setting is an error, not a silent default.
     assert dispatch(["lowerbound", "--lamda", "5"]) == 1
@@ -530,6 +538,45 @@ def test_solve_has_no_iteration_cap_flag(tmp_path, capsys):
     assert dispatch(argv) == 0
     assert dispatch([*argv, "--max-iter", "5"]) == 1
     capsys.readouterr()
+
+
+def test_sampling_and_witness_recipes_have_no_flags(tmp_path, capsys):
+    # The sample-size constant and the witness search's probe count are
+    # constants of their recipes: --constant and --probes are unknown flags.
+    inst = _write_instance(tmp_path / "i.json", [[1.0], [2.0]], [1.0, 3.0])
+    coreset = ["coreset", "--instance", inst, "--scheme", "uniform", "--epsilon", "0.5",
+               "--out", str(tmp_path / "c.json")]
+    assert dispatch(coreset) == 0
+    assert dispatch([*coreset, "--constant", "0.5"]) == 1
+    assert dispatch(["lowerbound"]) == 0
+    assert dispatch(["lowerbound", "--probes", "200"]) == 1
+    err = capsys.readouterr().err
+    assert "--constant" in err and "--probes" in err
+
+
+# Every subcommand's flags.  A new setting is a change to this table.
+_FLAGS = {
+    "gen-ng": "--n --d --alpha --noise-scale --seed --out",
+    "coreset": "--instance --scheme --lambda --size --epsilon --delta --p --seed --out",
+    "solve": "--instance --coreset --family --lambda --p --tol --out",
+    "verify": "--instance --coreset --family --lambda --p --epsilon --queries --seed --out",
+    **dict.fromkeys(("experiment", "sparsity"),
+                    "--config --n --d --master-seed --trials-per-cell --objective-family "
+                    "--ng-alpha --noise-scale --lambda-grid --sample-sizes --schemes "
+                    "--csv-path --target-column --format --out"),
+    "lowerbound": "--instance --coreset --p --q --r --s --lambda --epsilon --seed --out",
+}
+
+
+def test_flag_inventory():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    flags = {
+        name: " ".join(f for a in parser._actions for f in a.option_strings
+                       if f not in ("-h", "--help"))
+        for name, parser in sub.choices.items()
+    }
+    assert flags == _FLAGS
+    assert sum(len(f.split()) for f in flags.values()) == 71
 
 
 def test_malformed_list_flags_name_their_field(capsys):
@@ -845,8 +892,7 @@ def test_coreset_document_of_the_former_format_exits_one(ng_path, tmp_path, caps
         assert dispatch(["solve", "--coreset", str(core), "--family", "ridge"]) == 1
         assert dispatch(["verify", "--instance", ng_path, "--coreset", str(core),
                          "--epsilon", "0.5"]) == 1
-        assert dispatch(["lowerbound", "--instance", ng_path, "--coreset", str(core),
-                         "--probes", "5"]) == 1
+        assert dispatch(["lowerbound", "--instance", ng_path, "--coreset", str(core)]) == 1
     assert capsys.readouterr().err.count("missing keys: ['sampled_rows']") == 6
 
 

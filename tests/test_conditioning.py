@@ -106,10 +106,9 @@ def test_sketch_rejects_bad_inputs():
         with pytest.raises(ShapeError):
             p_conditioned_basis(np.ones((2, 5)), p)
     M = np.random.default_rng(0).standard_normal((20, 2))
-    with pytest.raises(ValueError):
-        p_conditioned_basis(M, 0.5)
-    with pytest.raises(ValueError):
-        p_conditioned_basis(M, 4.5)
+    for p in (0.5, 4.5, np.nan, True):
+        with pytest.raises(ValueError, match=r"p must lie in \[1, 4\], got"):
+            p_conditioned_basis(M, p)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])

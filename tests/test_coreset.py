@@ -49,8 +49,8 @@ def test_identity_coreset_instance_holds_one_copy_of_the_rows():
 
 
 def test_sample_size_hand_value():
-    # 1 * 2/0.25 * (1*ln2 + ln2) = 16*ln2 = 11.09..., rounded up.
-    assert sample_size(2.0, 0.5, 0.5, 1, constant=1.0) == 12
+    # 0.5 * 2/0.25 * (1*ln2 + ln2) = 8*ln2 = 5.55..., rounded up.
+    assert sample_size(2.0, 0.5, 0.5, 1) == 6
 
 
 def test_sample_size_epsilon_scaling():
@@ -60,15 +60,13 @@ def test_sample_size_epsilon_scaling():
 
 
 def test_sample_size_floor_and_validation():
-    assert sample_size(1e-9, 0.9, 0.9, 1, constant=1e-6) == 1
+    assert sample_size(1e-9, 0.9, 0.9, 1) == 1
     for bad in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError):
             sample_size(1.0, bad, 0.5, 1)
         with pytest.raises(ValueError):
             sample_size(1.0, 0.5, bad, 1)
     for bad in (0.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
-            sample_size(1.0, 0.5, 0.5, 1, constant=bad)
         with pytest.raises(ValueError):
             sample_size(bad, 0.5, 0.5, 1)
     with pytest.raises(ValueError):

@@ -142,6 +142,10 @@ def test_response_validation():
         generate_response(A, np.ones(3), -1e-5, seed=0)
     with pytest.raises(DegenerateSignalError):
         generate_response(A, np.zeros(3), 1e-5, seed=0)
+    # Both arrays go through the array rule: numpy alone reads "1" and true.
+    for bad_A, bad_x in (([["1", True]], [2.0, 1.0]), ([[1.0, 1.0]], ["2", 1])):
+        with pytest.raises(ValueError, match="entries must be numbers"):
+            generate_response(bad_A, bad_x, 0.0, seed=0)
 
 
 def test_load_csv_normalization(tmp_path):
@@ -431,5 +435,19 @@ def test_emit_json_roundtrip():
     assert emit_report(clone, "json") == doc
     with pytest.raises(ValueError):
         parse_report(json.dumps({"rows": []}))
+    # Each field is checked by type, so a malformed report is not re-emitted
+    # as a different one.
+    valid = json.loads(doc)
+    for key, value, message in (
+        ("cells", [[True]], "cells entries must be numbers"),
+        ("cells", [0.5], "cells must be 2-D"),
+        ("trials", [[["1"]]], "trials entries must be numbers"),
+        ("trials", [[0.5]], "trials must be 3-D"),
+        ("rows", [5], "rows entry must be a string"),
+        ("cols", "uniform", "cols must be a list"),
+        ("config_digest", 5, "config_digest must be a string"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            parse_report(json.dumps({**valid, key: value}))
     with pytest.raises(ValueError):
         emit_report(table, "yaml")

@@ -62,6 +62,8 @@ def test_arrays_are_read_by_the_type_of_each_entry():
     assert as_vector([1, np.float32(0.5), np.int64(2)]).tolist() == [1.0, 0.5, 2.0]
     held = np.arange(3.0)
     assert as_vector(held) is held  # an ndarray of a numeric dtype is not copied
+    design = np.empty((4, 3))[:, :-1]  # the harness's strided view of [A  b]
+    assert as_matrix(design) is design
 
 
 _FLOATS = st.one_of(

@@ -79,8 +79,6 @@ def test_violation_search_validation():
     core = _single_row_coreset()
     with pytest.raises(ValueError):
         find_unregularized_violation(np.eye(2), core, 2.0, 2.0, 1.5)
-    with pytest.raises(ValueError):
-        find_unregularized_violation(np.eye(2), core, 2.0, 2.0, 0.1, probes=0)
 
 
 def test_alpha_hand_value():

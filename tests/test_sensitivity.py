@@ -45,6 +45,10 @@ def test_scores_validation():
         SensitivityScores(values=np.array([0.5]), scheme="made_up")
     with pytest.raises(InvalidScoresError):
         SensitivityScores(values=np.array([0.5, 0.5]), scheme="uniform", total=2.0)
+    # The values go through the array rule, as a list or an array.
+    for values in (["1", True, 0.5], [0.5, np.nan], [[0.5]], [], np.array([True])):
+        with pytest.raises(InvalidScoresError, match="values"):
+            SensitivityScores(values=values, scheme="uniform")
 
 
 def test_uniform_scores():
@@ -190,6 +194,8 @@ def test_multiresponse_lambda_zero_and_validation():
         multiresponse_rlad_sensitivity_bounds(basis, 0.0, ahat, 4)
     with pytest.raises(ShapeError):
         multiresponse_rlad_sensitivity_bounds(basis, 0.0, ahat[:20], 2)
+    with pytest.raises(SchemeMismatchError):
+        multiresponse_rlad_sensitivity_bounds(p_conditioned_basis(ahat, 2.0), 0.0, ahat, 2)
 
 
 def test_multiresponse_dominates_grid_oracle():

@@ -208,10 +208,9 @@ def test_lp_lp_p3_beats_grid_oracle():
 
 def test_lp_lp_validation():
     inst = _instance(12, 10, 2)
-    with pytest.raises(ValueError):
-        solve_lp_lp(inst, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        solve_lp_lp(inst, 5.0, 0.0)
+    for p in (0.5, 5.0, True):
+        with pytest.raises(ValueError, match=r"p must lie in \[1, 4\], got"):
+            solve_lp_lp(inst, p, 0.0)
     with pytest.raises(ValueError):
         solve_lp_lp(inst, 2.0, -1.0)
 
