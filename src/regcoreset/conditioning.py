@@ -6,11 +6,12 @@ dual exponent of p.  The product alpha*beta controls how sharp the sensitivity
 bounds built on top of the basis are.
 
 beta is certified at every p in [1, 4]: the basis comes from a fixed number of
-steps towards the l_p Lewis weights, and beta follows from computed numbers by
-an inequality that holds whether or not the weights have converged.  Building
-a basis samples nothing and takes no seed; verify_conditioning is the separate
-sampled check.  At p = 2 the Lewis weights are all 1, so one step gives the
-orthonormal QR factor, with beta = 1 + 1e-9.
+steps towards the l_p Lewis weights (one QR of the rows, then Cholesky
+updates through m x m Gram matrices), and beta follows from computed numbers
+by an inequality that holds whether or not the weights have converged.
+Building a basis samples nothing and takes no seed; verify_conditioning is
+the separate sampled check.  At p = 2 the Lewis weights are all 1, so one
+step gives the orthonormal QR factor, with beta = 1 + 1e-9.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ _ALPHA_MARGIN = 1.01
 # p = 1 on NG instances (d = 30): alpha*beta is within 0.15% of its limit
 # after 12 steps, at n = 400 and at n = 20 000.
 _LEWIS_STEPS = 12
-# The certificate beta = c assumes V^{1/2} U is exactly orthonormal; in
-# floating point its Gram matrix is off by ~1e-11, which this covers.
+# c is scaled for the measured distance of V^{1/2} U from orthonormal at
+# every p but 2, whose single QR factor is off by ~1e-11 in its Gram
+# matrix; this covers that and the rounding in c itself.
 _BETA_ROUNDING = 1.0 + 1e-9
 
 
@@ -77,6 +79,14 @@ def _is_singular(R: np.ndarray) -> bool:
     return not diag.min() > diag.max() * 1e-10
 
 
+def _gram_cholesky(S: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of S^T S, or None where Cholesky fails."""
+    try:
+        return np.linalg.cholesky(S.T @ S)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _dual_norms(Z: np.ndarray, q: float) -> np.ndarray:
     if q == np.inf:
         return np.max(np.abs(Z), axis=0)
@@ -101,28 +111,45 @@ def _conditioning_ratios(U: np.ndarray, p: float, Z: np.ndarray) -> np.ndarray:
 def _lewis_basis(Aprime: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, float]:
     """U = A' R^-1 from _LEWIS_STEPS steps towards the l_p Lewis weights.
 
-    Each step takes weights w > 0, sets v_i = w_i^(1 - 2/p) and factors
-    V^{1/2} A' = QR, so that V^{1/2} U = Q is orthonormal and
-    ||z||_2^2 = sum_i v_i (u_i z)^2 for every z.  It records c with the w that
-    built U, then moves w to ||u_i||_2^p, the Lewis fixed-point map.  For any
-    positive w and every z, with q the dual exponent of p:
+    Each step takes weights w > 0, sets v_i = w_i^(1 - 2/p) and makes
+    V^{1/2} U orthonormal, so that ||z||_2^2 = sum_i v_i (u_i z)^2 for every
+    z.  It records c with the w that built U, then moves w to ||u_i||_2^p,
+    the Lewis fixed-point map.  For any positive w and every z, with q the
+    dual exponent of p:
       p <= 2:  (u_i z)^2 <= |u_i z|^p (||u_i||_2 ||z||_2)^(2-p) gives
                ||z||_q <= ||z||_2 <= c ||Uz||_p, c = (max_i v_i ||u_i||_2^(2-p))^(1/p);
       p > 2:   Hoelder gives ||z||_2 <= (sum_i w_i)^(1/2 - 1/p) ||Uz||_p, and
                ||z||_q <= m^(1/q - 1/2) ||z||_2, so c = (m sum_i w_i)^(1/2 - 1/p)
-    (Cohen & Peng, Lp Row Sampling by Lewis Weights, arXiv:1412.0588).  At
-    p = 1 the exponents are 0.5 and 1.0, which numpy evaluates exactly as a
-    square root and a copy.  At p = 2 the row scale w^(1/p - 1/2) is exactly
-    1 whatever w is, so every step would repeat the first one bit for bit:
-    one step is taken.  Returns (U, R, c).
+    (Cohen & Peng, Lp Row Sampling by Lewis Weights, arXiv:1412.0588).
+
+    The first step factors V^{1/2} A' = QR and sets U = A' R^-1.  Later
+    steps start from a U that is orthonormal in the previous weights, so
+    the Gram matrix G = U^T V U is near the identity and well conditioned:
+    each factors G = L L^T by Cholesky and sets U <- U L^-T, R <- L^T R,
+    an m x m factorization in place of a QR of the n rows.  A step whose
+    Cholesky fails is a QR step instead.  Orthonormality then holds only
+    up to rounding, so after the last step
+    delta = ||(V^{1/2}U)^T (V^{1/2}U) - I||_2 is measured: ||z||_2^2 <= sum_i v_i (u_i z)^2 / (1 - delta), which
+    multiplies c by (1 - delta)^(-1/p) at p <= 2 and (1 - delta)^(-1/2)
+    above (a ConditioningFailureError if delta >= 1).  At p = 1 the
+    exponents are 0.5 and 1.0, which numpy evaluates exactly as a square
+    root and a copy.  At p = 2 the row scale w^(1/p - 1/2) is exactly 1
+    whatever w is, so every step would repeat the first one bit for bit:
+    one QR step is taken and c is not scaled.  Returns (U, R, c).
     """
     m = Aprime.shape[1]
     w = np.ones(Aprime.shape[0])
+    U = None
     for _ in range(1 if p == 2 else _LEWIS_STEPS):
-        R = _positive_diag_r(Aprime / (w ** (1 / p - 0.5))[:, None])
-        if _is_singular(R):
-            raise ConditioningFailureError("weighted QR of A' is singular")
-        U = Aprime @ np.linalg.inv(R)
+        scale = (w ** (1 / p - 0.5))[:, None]
+        L = None if U is None else _gram_cholesky(U / scale)
+        if L is not None:
+            U, R = U @ np.linalg.inv(L).T, L.T @ R
+        else:
+            R = _positive_diag_r(Aprime / scale)
+            if _is_singular(R):
+                raise ConditioningFailureError("weighted QR of A' is singular")
+            U = Aprime @ np.linalg.inv(R)
         norms = np.linalg.norm(U, axis=1)
         if p <= 2:
             c = float(np.max(norms ** (2 - p) / w ** (2 / p - 1))) ** (1 / p)
@@ -131,6 +158,12 @@ def _lewis_basis(Aprime: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, 
         # A zero row keeps a tiny positive weight, so no step divides by 0.
         w = norms**p
         w = np.maximum(w, np.finfo(float).eps * w.max())
+    if p != 2:
+        S = U / scale
+        delta = float(np.linalg.norm(S.T @ S - np.eye(m), 2))
+        if not delta < 1:
+            raise ConditioningFailureError(f"Lewis basis {delta:.3e} off orthonormal")
+        c *= (1 - delta) ** -max(1 / p, 0.5)
     return U, R, c
 
 

@@ -3,7 +3,8 @@
 Closed form for ridge, Lawson-Hanson active-set steps for the lasso and the
 squared-l1 "modified lasso", and damped IRLS for l_p losses with an l_p^p
 penalty.  At p = 1 with lam > 0 (least absolute deviations with an l1
-penalty, RLAD) the problem is a linear program: IRLS only finds a start, and
+penalty, RLAD) the problem is a linear program: IRLS only finds a start,
+sweeping until one moves the objective and the iterate by at most 10%, and
 an exact vertex descent on the rows of [A; lam I] finishes it.
 
 The squared-loss solvers (ridge, lasso, modified lasso) work on the
@@ -52,11 +53,21 @@ _KKT_TOL = 1e-12
 _SINE_TOL = 1e-5  # least sine of a column to the earlier ones in a Gram solve
 # IRLS at p = 1 hands its iterate to the LP vertex descent after the first
 # sweep that changes the objective and the iterate by at most _VERTEX_GATE
-# (relative).  The descent starts from rows whose sine to the rows taken
-# before them exceeds _BASIS_SINE, since a start basis nearer singular puts
-# the vertex far from the iterate, and gives up after _PIVOTS_PER_COLUMN * d
-# pivots.
-_VERTEX_GATE = 1e-2
+# (relative).  Sweeps plus pivots, summed over the RLAD tables at d = 30 and
+# lam = 0.5 (rlad-small: 16 tables at n = 400, one trial per cell; rlad-sizes:
+# n = 20 000, five trials per cell; seed 2):
+#   gate   rlad-small full / coreset   rlad-sizes full / coreset
+#   1e-2         96 / 755                   119 / 1456
+#   1e-1         32 / 310                   137 / 1621
+#   1e9          17 / 210                   207 / 1536
+# At 1e-1 the start basis is as good as at 1e-2 but for a few pivots, and
+# the full solve at n = 20 000 still gets the sweeps that make its first
+# basis cheap to finish; with no gate (1e9, descent after the first sweep)
+# that solve is about 25% slower.  The descent starts from rows whose sine
+# to the rows taken before them exceeds _BASIS_SINE, since a start basis
+# nearer singular puts the vertex far from the iterate, and gives up after
+# _PIVOTS_PER_COLUMN * d pivots.
+_VERTEX_GATE = 1e-1
 _BASIS_SINE = 1e-3
 _PIVOTS_PER_COLUMN = 10
 # Caps on active-set steps and on IRLS sweeps (the descent's pivots are not
@@ -336,7 +347,7 @@ def solve_lp_lp(
 
     At p = 1 with lam > 0 the problem is a linear program.  After the first
     sweep that moves the objective and the iterate by at most _VERTEX_GATE
-    (relative), an exact descent over the LP's vertices starts from the rows
+    (10%, relative), an exact descent over the LP's vertices starts from the rows
     nearest that iterate and ends at an optimal vertex in finitely many
     pivots (_l1_vertex_descent).  Its dual, clipped to [-1, 1] on the rows
     of A and scaled so that ||A^T y||_inf <= lam, bounds the minimum below

@@ -155,6 +155,67 @@ def test_lewis_beta_is_a_certificate(p, m, extra_rows, data_seed, zero_row, spik
     assert verify_conditioning(basis, 2_000, data_seed).beta_empirical <= basis.beta
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    m=st.integers(1, 5),
+    extra_rows=st.integers(8, 60),
+    data_seed=st.integers(0, 2**32 - 1),
+    scales=st.lists(st.sampled_from([1e-8, 1e-4, 1e4, 1e8]), max_size=4),
+    repeats=st.integers(0, 30),
+)
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+def test_cholesky_lewis_steps_keep_beta_certified(p, m, extra_rows, data_seed, scales, repeats):
+    # Badly scaled rows spread the Lewis weights, which the Cholesky steps
+    # square into their Gram matrices, and repeated rows tie them.  At p = 4
+    # twelve steps stop short of the fixed point.  The sampled ratios, over
+    # random directions and every row direction of U, stay under beta.
+    rng = np.random.default_rng(data_seed)
+    M = rng.standard_normal((m + extra_rows, m))
+    M[rng.choice(M.shape[0], size=len(scales), replace=False)] *= np.array(scales)[:, None]
+    M = np.vstack([M, M[rng.integers(M.shape[0], size=repeats)]])
+    basis = p_conditioned_basis(M, p)
+    report = verify_conditioning(basis, 2_000, data_seed)
+    assert not report.violation and report.beta_empirical <= basis.beta
+    U = basis.basis
+    rows = U.T[:, np.linalg.norm(U, axis=1) > 0]
+    assert np.max(_conditioning_ratios(U, p, rows), initial=0.0) <= basis.beta
+
+
+def _all_qr_lewis_beta(M, p):
+    # beta of twelve QR steps towards the Lewis weights: the construction
+    # before later steps were taken by Cholesky updates.
+    m = M.shape[1]
+    w = np.ones(M.shape[0])
+    for _ in range(12):
+        R = np.linalg.qr(M / (w ** (1 / p - 0.5))[:, None], mode="r")
+        norms = np.linalg.norm(M @ np.linalg.inv(R), axis=1)
+        if p <= 2:
+            c = float(np.max(norms ** (2 - p) / w ** (2 / p - 1))) ** (1 / p)
+        else:
+            c = float(m * np.sum(w)) ** (0.5 - 1 / p)
+        w = np.maximum(norms**p, np.finfo(float).eps * np.max(norms**p))
+    return c * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+def test_lewis_steps_fall_back_to_qr_where_cholesky_fails(monkeypatch, p):
+    M = np.random.default_rng(19).standard_normal((300, 5))
+    M[7] *= 1e3
+    want = _all_qr_lewis_beta(M, p)
+    assert p_conditioned_basis(M, p).beta == pytest.approx(want, rel=1e-10)
+    calls = []
+
+    def failing_cholesky(G):
+        calls.append(np.shape(G))
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    basis = p_conditioned_basis(M, p)
+    assert calls == [(5, 5)] * 11  # steps 2-12 tried Cholesky, then took a QR
+    assert basis.beta == pytest.approx(want, rel=1e-12)
+    assert not verify_conditioning(basis, 10_000, seed=3).violation
+
+
 def test_l1_lewis_zero_row_gives_finite_basis_and_scores():
     M = np.random.default_rng(13).standard_normal((50, 4))
     M[[0, 17]] = 0.0

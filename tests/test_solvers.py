@@ -332,9 +332,10 @@ def test_rlad_lambda_zero_with_a_zero_column_stays_finite_and_monotone():
 
 def test_rlad_table_sweep_count(monkeypatch):
     # The first of the sixteen n = 400 tables of the rlad-small benchmark
-    # workload at seed 2.  With the vertex descent its eleven solves take
-    # 54 sweeps and pivots; the threshold polish it replaced took 145, and
-    # the stall test alone 272.
+    # workload at seed 2.  With the vertex descent entered at a 10% gate its
+    # eleven solves take 22 sweeps and pivots; at a 1% gate they took 54,
+    # the threshold polish the descent replaced 145, and the stall test
+    # alone 272.
     seen = []
 
     def counted(instance, lam, **kw):
@@ -350,7 +351,7 @@ def test_rlad_table_sweep_count(monkeypatch):
     ))
     assert len(seen) == 11
     assert all(r.converged and r.gap <= 1e-6 for r in seen)
-    assert sum(r.iterations for r in seen) <= 80
+    assert sum(r.iterations for r in seen) <= 25
 
 
 def test_multiresponse_rlad_single_column_matches():
