@@ -11,7 +11,8 @@ updates through m x m Gram matrices), and beta follows from computed numbers
 by an inequality that holds whether or not the weights have converged.
 Building a basis samples nothing and takes no seed; verify_conditioning is
 the separate sampled check.  At p = 2 the Lewis weights are all 1, so one
-step gives the orthonormal QR factor, with beta = 1 + 1e-9.
+step gives the orthonormal QR factor; its beta, as at every p, is scaled by
+the measured distance of U from orthonormal.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ _ALPHA_MARGIN = 1.01
 # after 12 steps, at n = 400 and at n = 20 000.
 _LEWIS_STEPS = 12
 # c is scaled for the measured distance of V^{1/2} U from orthonormal at
-# every p but 2, whose single QR factor is off by ~1e-11 in its Gram
-# matrix; this covers that and the rounding in c itself.
+# every p, 2 included; this covers the rounding in c and in that distance.
 _BETA_ROUNDING = 1.0 + 1e-9
 
 
@@ -135,7 +135,8 @@ def _lewis_basis(Aprime: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, 
     exponents are 0.5 and 1.0, which numpy evaluates exactly as a square
     root and a copy.  At p = 2 the row scale w^(1/p - 1/2) is exactly 1
     whatever w is, so every step would repeat the first one bit for bit:
-    one QR step is taken and c is not scaled.  Returns (U, R, c).
+    one QR step is taken.  Its U is off orthonormal by about cond(A') times
+    the machine epsilon, so delta is measured there too.  Returns (U, R, c).
     """
     m = Aprime.shape[1]
     w = np.ones(Aprime.shape[0])
@@ -158,12 +159,11 @@ def _lewis_basis(Aprime: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, 
         # A zero row keeps a tiny positive weight, so no step divides by 0.
         w = norms**p
         w = np.maximum(w, np.finfo(float).eps * w.max())
-    if p != 2:
-        S = U / scale
-        delta = float(np.linalg.norm(S.T @ S - np.eye(m), 2))
-        if not delta < 1:
-            raise ConditioningFailureError(f"Lewis basis {delta:.3e} off orthonormal")
-        c *= (1 - delta) ** -max(1 / p, 0.5)
+    S = U / scale
+    delta = float(np.linalg.norm(S.T @ S - np.eye(m), 2))
+    if not delta < 1:
+        raise ConditioningFailureError(f"Lewis basis {delta:.3e} off orthonormal")
+    c *= (1 - delta) ** -max(1 / p, 0.5)
     return U, R, c
 
 

@@ -37,7 +37,9 @@ def test_orthonormal_input_returns_itself():
     basis = p_conditioned_basis(Q, 2.0)
     assert np.allclose(basis.basis, Q, atol=1e-12)
     assert np.allclose(basis.change_of_basis, np.eye(4), atol=1e-12)
-    assert basis.beta == 1 + 1e-9
+    # beta is the measured distance from orthonormal, here rounding level.
+    assert 1 + 1e-9 <= basis.beta <= 1 + 1e-9 + 1e-14
+    assert not verify_conditioning(basis, 2_000, seed=3).violation
 
 
 def test_orthonormal_diagonal_example():
@@ -71,7 +73,7 @@ def test_lewis_p2_quality_near_orthonormal():
     for seed in (0, 1, 2):
         M = np.random.default_rng(11 + seed).standard_normal((100, 4))
         basis = p_conditioned_basis(M, 2.0)
-        assert basis.beta <= 1 + 1e-9
+        assert 1 + 1e-9 <= basis.beta <= 1 + 1e-9 + 1e-14
         assert basis.alpha * basis.beta <= 1.02 * np.sqrt(4)
 
 
@@ -163,12 +165,13 @@ def test_lewis_beta_is_a_certificate(p, m, extra_rows, data_seed, zero_row, spik
     scales=st.lists(st.sampled_from([1e-8, 1e-4, 1e4, 1e8]), max_size=4),
     repeats=st.integers(0, 30),
 )
-@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
 def test_cholesky_lewis_steps_keep_beta_certified(p, m, extra_rows, data_seed, scales, repeats):
     # Badly scaled rows spread the Lewis weights, which the Cholesky steps
     # square into their Gram matrices, and repeated rows tie them.  At p = 4
-    # twelve steps stop short of the fixed point.  The sampled ratios, over
-    # random directions and every row direction of U, stay under beta.
+    # twelve steps stop short of the fixed point.  At p = 2 the one QR factor
+    # loses orthogonality with the condition number.  The sampled ratios,
+    # over random directions and every row direction of U, stay under beta.
     rng = np.random.default_rng(data_seed)
     M = rng.standard_normal((m + extra_rows, m))
     M[rng.choice(M.shape[0], size=len(scales), replace=False)] *= np.array(scales)[:, None]
@@ -378,17 +381,17 @@ def test_p2_basis_takes_a_single_qr(monkeypatch):
 
 
 def test_p2_basis_keeps_its_bits():
-    # Recorded from the twelve-step construction on this fixed matrix: the
-    # one-step p = 2 basis must reproduce it bit for bit.
+    # U and R were recorded from the twelve-step construction on this fixed
+    # matrix: the one-step p = 2 basis must reproduce them bit for bit.  beta
+    # carries the measured distance of U from orthonormal, a few ulps here.
     M = np.random.default_rng(17).standard_normal((40, 4))
     basis = p_conditioned_basis(M, 2.0)
     digest = hashlib.sha256()
     for array in (basis.basis, basis.change_of_basis):
         digest.update(np.ascontiguousarray(array).tobytes())
-    digest.update(np.array([basis.alpha, basis.beta, basis.induced_norm]).tobytes())
     assert (basis.alpha, basis.beta, basis.induced_norm) == (
-        2.0199999999999996, 1.000000001, 8.279486616000016
+        2.0199999999999996, 1.0000000010000005, 8.279486616000016
     )
     assert digest.hexdigest() == (
-        "4a8d894a379cfe28a817cf2b95fc1e812940b37d24a6d0e30fbae3f786e4604f"
+        "cf8727e4ddc17f48fc2045187900646e9c40f0cf33a5afeb04646dacb532e83a"
     )

@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import statistics
+import subprocess
+import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -243,6 +247,46 @@ def test_relative_error_trials_share_no_state():
     three = run_relative_error_experiment(config)
     five = run_relative_error_experiment(dataclasses.replace(config, trials_per_cell=5))
     assert [[cell[:3] for cell in row] for row in five.trials] == three.trials
+
+
+def test_harness_memory_does_not_grow_with_the_lambda_grid():
+    # Each (lambda, scheme) score set (values and CDF, 2n floats) is dropped
+    # after its trials, so six lambdas peak within one score set of one.
+    config = ExperimentConfig(
+        n=4_000, d=6, lambda_grid=(0.5,), sample_sizes=(40,),
+        schemes=("ridge_leverage", "uniform"), objective_family="ridge",
+        trials_per_cell=1, master_seed=3,
+    )
+    sweep = dataclasses.replace(config, lambda_grid=(0.1, 0.2, 0.5, 1.0, 2.0, 5.0))
+    run_relative_error_experiment(config)  # warms the instance memo and its factor
+    peaks = []
+    tracemalloc.start()
+    try:
+        for cfg in (config, sweep):
+            tracemalloc.reset_peak()
+            run_relative_error_experiment(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2 * 8 * config.n
+
+
+def test_import_and_a_table_load_no_statistics_or_masked_arrays():
+    # statistics pulls in decimal and fractions, and np.median numpy.ma:
+    # each adds RSS to every process that imports the package.
+    code = (
+        "import sys, regcoreset\n"
+        "regcoreset.run_relative_error_experiment(regcoreset.ExperimentConfig(\n"
+        "    n=60, d=4, lambda_grid=(0.5, 1.0), sample_sizes=(10,),\n"
+        "    objective_family='ridge', trials_per_cell=3))\n"
+        "print(sorted(set(sys.modules) & {'statistics', 'decimal', 'fractions', 'numpy.ma'}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(experiments.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_identity_trials_share_one_factored_instance(factored_shapes):
