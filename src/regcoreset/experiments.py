@@ -370,9 +370,7 @@ def run_relative_error_experiment(
                     if scheme == "identity":
                         core_instance = identity_instance
                     else:
-                        core_instance = build_coreset(
-                            instance, scores, size, seed
-                        ).as_instance(p)
+                        core_instance = build_coreset(instance, scores, size, seed).as_instance(p)
                     sub = _solve(family, core_instance, lam)
                     v2 = evaluate_objective(instance, sub.solution, spec_for[lam])
                     errors.append(abs(v1 - v2) / v1)
