@@ -60,6 +60,26 @@ from .solvers import (
 
 _TAG_QUERIES = 0x06  # the seed tag of verify's queries
 
+# --scheme -> (its scores of (instance, args), the flags they do not read) and
+# --family -> (its solve of (instance, args), the flags it does not read).  Each
+# entry calls its function by name when it runs, so a wrapper on that name sees it.
+_SCHEMES = {
+    "uniform": (lambda instance, args: uniform_scores(instance.n), ("lam", "p")),
+    "ridge-leverage": (lambda instance, args: ridge_leverage_scores(instance, args.lam), ("p",)),
+    "lp-lp": (lambda instance, args: lp_lp_sensitivity_bounds(
+        p_conditioned_basis(augment(instance), args.p), args.lam), ()),
+    "rlad": (lambda instance, args: rlad_sensitivity_bounds(
+        p_conditioned_basis(augment(instance), 1.0), args.lam), ("p",)),
+}
+_SOLVERS = {
+    "ridge": (lambda instance, args: solve_ridge(instance, args.lam), ("tol",)),  # closed form
+    "lasso": (lambda instance, args: solve_lasso(instance, args.lam, tol=args.tol), ()),
+    "modified_lasso": (
+        lambda instance, args: solve_modified_lasso(instance, args.lam, tol=args.tol), ()),
+    "rlad": (lambda instance, args: solve_rlad(instance, args.lam, tol=args.tol), ()),
+    "lp_lp": (lambda instance, args: solve_lp_lp(instance, args.p, args.lam, tol=args.tol), ()),
+}
+
 
 class _UsageError(Exception):
     pass
@@ -132,17 +152,6 @@ def _cmd_gen_ng(args) -> int:
     return 0
 
 
-def _scores_for_cli(args, instance: RegressionInstance):
-    if args.scheme == "uniform":
-        return uniform_scores(instance.n)
-    if args.scheme == "ridge-leverage":
-        return ridge_leverage_scores(instance, args.lam)
-    aprime = augment(instance)
-    if args.scheme == "rlad":
-        return rlad_sensitivity_bounds(p_conditioned_basis(aprime, 1.0), args.lam)
-    return lp_lp_sensitivity_bounds(p_conditioned_basis(aprime, args.p), args.lam)
-
-
 def _cmd_coreset(args) -> int:
     check_lambda(args.lam)
     if (args.size is None) == (args.epsilon is None):
@@ -150,18 +159,15 @@ def _cmd_coreset(args) -> int:
     if args.epsilon is not None:
         check_fraction(args.epsilon, "epsilon")
     instance = _load_instance(args.instance)
-    scores = _scores_for_cli(args, instance)
+    score, unread = _SCHEMES[args.scheme]
+    scores = score(instance, args)
     if args.size is not None:
         r = args.size
+        unread += ("epsilon", "delta")  # only --epsilon sizing reads them
     else:
         r = sample_size(scores.total, args.epsilon, args.delta, instance.d + 1)
     core = build_coreset(instance, scores, r, args.seed)
-    ignored = [] if args.scheme == "lp-lp" else ["p"]  # only the lp-lp bounds read it
-    if args.scheme == "uniform":
-        ignored.append("lam")  # uniform scores do not read it
-    if args.size is not None:
-        ignored += ["epsilon", "delta"]  # only --epsilon sizing reads them
-    payload = {"config": _config(args, *ignored), "coreset": core.to_dict()}
+    payload = {"config": _config(args, *unread), "coreset": core.to_dict()}
     _write(canonical_json(payload), args.out)
     return 0
 
@@ -174,18 +180,9 @@ def _cmd_solve(args) -> int:
         instance = _load_instance(args.instance)
     else:
         instance = _load_coreset(args.coreset).as_instance(spec.p)
-    if args.family == "ridge":
-        result = solve_ridge(instance, args.lam)
-    elif args.family == "lasso":
-        result = solve_lasso(instance, args.lam, tol=args.tol)
-    elif args.family == "modified_lasso":
-        result = solve_modified_lasso(instance, args.lam, tol=args.tol)
-    elif args.family == "rlad":
-        result = solve_rlad(instance, args.lam, tol=args.tol)
-    elif args.family == "lp_lp":
-        result = solve_lp_lp(instance, args.p, args.lam, tol=args.tol)
-    ignored = ["tol"] if args.family == "ridge" else []  # closed form
-    payload = {"config": _config(args, *ignored, p=spec.p), **result.to_dict()}
+    solve, unread = _SOLVERS[args.family]
+    result = solve(instance, args)
+    payload = {"config": _config(args, *unread, p=spec.p), **result.to_dict()}
     _write(canonical_json(payload), args.out)
     return 0
 
@@ -204,10 +201,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-# The ExperimentConfig fields an experiment or sparsity flag sets, each with
-# the type of its value: --master-seed sets master_seed.  A list field, [kind],
-# takes comma-separated values of that kind, converted after parsing so that
-# an error names the field.  normalize is set only through --config.
+# The ExperimentConfig fields an experiment flag sets, each with the type of its
+# value: --master-seed sets master_seed.  A list field, [kind], takes values of
+# that kind separated by commas, converted after parsing so that an error names
+# the field.  normalize is set only through --config; sparsity has fewer flags.
 _EXPERIMENT_FLAGS = {
     "n": int, "d": int, "master_seed": int, "trials_per_cell": int,
     "objective_family": str, "ng_alpha": float, "noise_scale": float,
@@ -219,7 +216,7 @@ _EXPERIMENT_FLAGS = {
 def _experiment_config(args) -> ExperimentConfig:
     doc = _load_object(args.config, "config") if args.config else {}
     for field, kind in _EXPERIMENT_FLAGS.items():
-        value = getattr(args, field)
+        value = getattr(args, field, None)  # sparsity lacks some of the flags
         if value is None:
             continue
         if isinstance(kind, list):
@@ -287,11 +284,7 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("coreset", help="sample a coreset from an instance")
     c.add_argument("--instance", required=True)
-    c.add_argument(
-        "--scheme",
-        required=True,
-        choices=["uniform", "ridge-leverage", "lp-lp", "rlad"],
-    )
+    c.add_argument("--scheme", required=True, choices=list(_SCHEMES))
     c.add_argument("--lambda", dest="lam", type=float, default=0.0)
     c.add_argument("--size", type=int, default=None)
     c.add_argument("--epsilon", type=float, default=None)
@@ -304,7 +297,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("solve", help="solve an objective on an instance or coreset")
     s.add_argument("--instance", default=None)
     s.add_argument("--coreset", default=None)
-    s.add_argument("--family", required=True, choices=list(FAMILIES))
+    s.add_argument("--family", required=True, choices=list(_SOLVERS))
     s.add_argument("--lambda", dest="lam", type=float, default=0.0)
     s.add_argument("--p", type=float, default=2.0)
     s.add_argument("--tol", type=float, default=1e-7,
@@ -326,13 +319,18 @@ def build_parser() -> _Parser:
     v.add_argument("--out", default=None)
     v.set_defaults(func=_cmd_verify)
 
-    for name, runner in (
-        ("experiment", run_relative_error_experiment),
-        ("sparsity", run_sparsity_experiment),
+    # sparsity solves three fixed families on the full data: it has no flag for
+    # the fields it does not read.
+    for name, runner, unread in (
+        ("experiment", run_relative_error_experiment, ()),
+        ("sparsity", run_sparsity_experiment,
+         ("objective_family", "sample_sizes", "schemes", "trials_per_cell")),
     ):
         e = sub.add_parser(name, help=f"run the {name} protocol")
         e.add_argument("--config", default=None)
         for field, kind in _EXPERIMENT_FLAGS.items():
+            if field in unread:
+                continue
             e.add_argument("--" + field.replace("_", "-"), default=None,
                            type=str if isinstance(kind, list) else kind)
         e.add_argument("--format", choices=["json", "csv"], default="json")

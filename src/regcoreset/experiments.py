@@ -11,8 +11,6 @@ byte-identical across runs.
 
 from __future__ import annotations
 
-import csv as csv_module
-import hashlib
 import json
 from dataclasses import dataclass, asdict
 
@@ -45,11 +43,24 @@ _TAG_XTRUE = 0x02
 _TAG_NOISE = 0x03
 _TAG_CELL = 0x05
 
-EXPERIMENT_SCHEMES = ("uniform", "ridge_leverage", "rlad_sensitivity", "identity")
-_check_scheme = input_rule(str, EXPERIMENT_SCHEMES.__contains__,
-                           f"be one of {', '.join(EXPERIMENT_SCHEMES)}")
-# Every family but lp_lp, whose p the config has no field for.
-_FAMILIES = tuple(family for family in FAMILIES if family != "lp_lp")
+# The harness's families and schemes, each named once.  Every entry calls its
+# solver or scorer by name when it runs, so a wrapper set on that name sees
+# the call.  lp_lp is left out: the config has no field for its p.
+_SOLVERS = {
+    "ridge": lambda instance, lam: solve_ridge(instance, lam),
+    "lasso": lambda instance, lam: solve_lasso(instance, lam),
+    "modified_lasso": lambda instance, lam: solve_modified_lasso(instance, lam),
+    "rlad": lambda instance, lam: solve_rlad(instance, lam),
+}
+# scheme -> its scores of (instance, lam, the RLAD basis); identity keeps every row.
+_SCHEMES = {
+    "uniform": lambda instance, lam, basis: uniform_scores(instance.n),
+    "ridge_leverage": lambda instance, lam, basis: ridge_leverage_scores(instance, lam),
+    "rlad_sensitivity": lambda instance, lam, basis: rlad_sensitivity_bounds(basis, lam),
+    "identity": None,
+}
+_check_scheme = input_rule(str, _SCHEMES.__contains__, f"be one of {', '.join(_SCHEMES)}")
+_check_family = input_rule(str, _SOLVERS.__contains__, f"be one of {', '.join(_SOLVERS)}")
 
 
 def canonical_json(doc) -> str:
@@ -85,8 +96,7 @@ class ExperimentConfig:
             check_integer(getattr(self, name), name)
         if check_count(self.trials_per_cell, "trials_per_cell") % 2 == 0:
             raise ValueError(f"trials_per_cell must be odd, got {self.trials_per_cell}")
-        if self.objective_family not in _FAMILIES:
-            raise ValueError(f"unknown objective family {self.objective_family!r}")
+        _check_family(self.objective_family, "objective_family")
         for name in ("csv_path", "target_column"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
@@ -111,6 +121,8 @@ class ExperimentConfig:
         return cls(**doc)
 
     def digest(self) -> str:
+        import hashlib  # loads OpenSSL: only a digest needs it
+
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
 
 
@@ -206,8 +218,10 @@ def load_csv(path, target_column: str, normalize: bool = True) -> RegressionInst
     absolute value (all-zero columns are left alone).  Parse failures name
     the 1-based row and the column.
     """
+    import csv  # only a CSV instance needs it
+
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv_module.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: empty file, expected a header row")
@@ -290,21 +304,7 @@ def _build_ng_instance(n, d, ng_alpha, noise_scale, master_seed):
 
 
 def _solve(family: str, instance: RegressionInstance, lam: float):
-    if family == "modified_lasso":
-        return solve_modified_lasso(instance, lam)
-    if family == "lasso":
-        return solve_lasso(instance, lam)
-    if family == "ridge":
-        return solve_ridge(instance, lam)
-    return solve_rlad(instance, lam)
-
-
-def _scheme_scores(scheme, instance, lam, rlad_basis):
-    if scheme == "uniform":
-        return uniform_scores(instance.n)
-    if scheme == "ridge_leverage":
-        return ridge_leverage_scores(instance, lam)
-    return rlad_sensitivity_bounds(rlad_basis, lam)
+    return _SOLVERS[family](instance, lam)
 
 
 def run_relative_error_experiment(
@@ -313,13 +313,14 @@ def run_relative_error_experiment(
     """Median relative error |V1 - V2| / V1 per (size, lambda) x scheme cell.
 
     Trials whose coreset solver failed to converge are dropped from the
-    median; a cell with no surviving trial raises.  The full-data solves, the
-    RLAD basis (which depends on neither lambda nor a seed) and the identity
-    instance are built up front.  The trials then run lambda by lambda and
-    scheme by scheme: each (lambda, scheme) score set is built just before
-    its trials and dropped after them, so at most one is held.  Each trial
-    has its own seed and each cell's median reads only its own trials, so
-    the order changes no value.
+    median; a cell with no surviving trial raises.  The RLAD basis (which
+    depends on neither lambda nor a seed) and the identity instance are
+    built up front.  The trials then run lambda by lambda: each lambda's
+    objective spec and full-data solve come at the start of its iteration,
+    and each (lambda, scheme) score set is built just before its trials and
+    dropped after them, so at most one is held.  Each trial has its own seed
+    and each cell's median reads only its own trials, so the order changes
+    no value.
 
     The harness is serial: ``threads`` accepts only 1.  It is kept for the
     benchmark's ``perfbench/workload.py``, which still passes ``threads=1``,
@@ -329,19 +330,7 @@ def run_relative_error_experiment(
         raise ValueError(f"the harness is serial; threads must be 1, got {threads}")
     instance, _ = build_experiment_instance(config)
     family = config.objective_family
-    spec_for = {
-        lam: ObjectiveSpec.for_family(family, lam) for lam in config.lambda_grid
-    }
-    p = spec_for[config.lambda_grid[0]].p  # the loss exponent, the same at every lambda
-
-    full_values = {}
-    for lam in config.lambda_grid:
-        result = _solve(family, instance, lam)
-        if not result.converged:
-            raise RuntimeError(
-                f"full-data {family} solve failed to converge at lambda={lam}"
-            )
-        full_values[lam] = result.objective_value
+    p = FAMILIES[family][0]  # the loss exponent, the same at every lambda
 
     # The RLAD basis depends on neither lambda nor a seed: one serves the grid.
     rlad_basis = None
@@ -358,11 +347,15 @@ def run_relative_error_experiment(
     cells = [[None] * len(config.schemes) for _ in rows]
     trials = [[None] * len(config.schemes) for _ in rows]
     for li, lam in enumerate(config.lambda_grid):
-        v1 = full_values[lam]
+        spec = ObjectiveSpec.for_family(family, lam)
+        full = _solve(family, instance, lam)
+        if not full.converged:
+            raise RuntimeError(f"full-data {family} solve failed to converge at lambda={lam}")
+        v1 = full.objective_value
         for si, scheme in enumerate(config.schemes):
             scores = None  # drop the last score set before this one is built
             if scheme != "identity":
-                scores = _scheme_scores(scheme, instance, lam, rlad_basis)
+                scores = _SCHEMES[scheme](instance, lam, rlad_basis)
             for zi, size in enumerate(config.sample_sizes):
                 errors, kept = [], []  # every trial's error; the converged ones
                 for ti in range(config.trials_per_cell):
@@ -372,7 +365,7 @@ def run_relative_error_experiment(
                     else:
                         core_instance = build_coreset(instance, scores, size, seed).as_instance(p)
                     sub = _solve(family, core_instance, lam)
-                    v2 = evaluate_objective(instance, sub.solution, spec_for[lam])
+                    v2 = evaluate_objective(instance, sub.solution, spec)
                     errors.append(abs(v1 - v2) / v1)
                     if sub.converged:
                         kept.append(errors[-1])

@@ -56,7 +56,8 @@ def test_config_validation():
         _small_config(sample_sizes=())
     with pytest.raises(ValueError):
         _small_config(trials_per_cell=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="objective_family must be one of ridge, lasso, "
+                                         "modified_lasso, rlad, got 'huber'"):
         _small_config(objective_family="huber")
     with pytest.raises(ValueError):
         _small_config(schemes=("made_up",))
@@ -289,6 +290,21 @@ def test_import_and_a_table_load_no_statistics_or_masked_arrays():
     assert out.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_hashlib_or_csv():
+    # hashlib loads OpenSSL: only a config digest needs it, and only a CSV
+    # instance needs csv, so neither is loaded where neither is used.
+    code = (
+        "import sys, regcoreset.cli\n"
+        "print(sorted(set(sys.modules) & {'hashlib', '_hashlib', 'csv'}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(experiments.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_identity_trials_share_one_factored_instance(factored_shapes):
     # One n-row QR for the full data and one for the identity coreset, which
     # every identity trial reuses; a fresh instance per trial made 1 + 6.
@@ -438,6 +454,17 @@ def test_relative_error_rlad_scheme_runs():
     table = run_relative_error_experiment(config)
     assert table.col_labels == ["rlad_sensitivity", "uniform"]
     assert all(all(c >= 0 for c in row) for row in table.cells)
+
+
+@pytest.mark.parametrize("scheme", list(experiments._SCHEMES))
+@pytest.mark.parametrize("family", list(experiments._SOLVERS))
+def test_every_family_runs_under_every_scheme(family, scheme):
+    config = _small_config(objective_family=family, schemes=(scheme,), sample_sizes=(20,),
+                           trials_per_cell=1)
+    [[cell]] = run_relative_error_experiment(config).cells
+    assert np.isfinite(cell) and cell >= 0
+    if scheme == "identity":
+        assert cell < 1e-10
 
 
 def test_row_labels_cover_both_grids():
